@@ -349,7 +349,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// arbitrarily old prefix of the leader's history.
 	ready := true
 	for _, t := range s.tenantList() {
-		if t.rep != nil && !t.rep.Ready() {
+		if r := t.db.stats(true).Replication; r != nil && !r.Ready {
 			ready = false
 			break
 		}
@@ -362,29 +362,20 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (t *tenant) info() dbInfoJSON {
-	if t.clu != nil {
-		return dbInfoJSON{
-			Name:      t.name,
-			Version:   t.clu.Version(),
-			XTuples:   t.clu.NumGroups(),
-			Tuples:    t.clu.NumTuples(),
-			K:         t.clu.K(),
-			Threshold: t.clu.Threshold(),
-			Shards:    t.clu.Shards(),
-			Durable:   t.durable(),
-		}
-	}
-	eng := t.engine()
-	snap := eng.DB().Snapshot()
-	return dbInfoJSON{
+	st := t.db.stats(false)
+	info := dbInfoJSON{
 		Name:      t.name,
-		Version:   snap.Version(),
-		XTuples:   snap.NumGroups(),
-		Tuples:    snap.NumTuples(),
-		K:         eng.K(),
-		Threshold: eng.Threshold(),
-		Durable:   t.durable(),
+		Version:   st.Version,
+		XTuples:   st.XTuples,
+		Tuples:    st.Tuples,
+		K:         st.K,
+		Threshold: st.Threshold,
+		Durable:   st.Durable,
 	}
+	if t.cfg.Shards > 1 {
+		info.Shards = t.cfg.Shards
+	}
+	return info
 }
 
 func (s *server) handleListDBs(w http.ResponseWriter, r *http.Request) {
@@ -485,53 +476,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 	if s.cfg.follower {
 		role = "follower"
 	}
-	var resp statsResponse
-	if t.clu != nil {
-		resp = statsResponse{
-			Name:       t.name,
-			Role:       role,
-			Version:    t.clu.Version(),
-			XTuples:    t.clu.NumGroups(),
-			Tuples:     t.clu.NumTuples(),
-			RealTuples: t.clu.NumRealTuples(),
-			K:          t.clu.K(),
-			Threshold:  t.clu.Threshold(),
-			Shards:     t.clu.Stats(),
-		}
-	} else {
-		eng := t.engine()
-		snap := eng.DB().Snapshot()
-		resp = statsResponse{
-			Name:       t.name,
-			Role:       role,
-			Version:    snap.Version(),
-			XTuples:    snap.NumGroups(),
-			Tuples:     snap.NumTuples(),
-			RealTuples: snap.NumRealTuples(),
-			K:          eng.K(),
-			Threshold:  eng.Threshold(),
-		}
-	}
-	resp.Durable = t.durable()
+	resp := t.db.stats(true)
+	resp.Name = t.name
+	resp.Role = role
 	resp.Coalesced = t.coal.coalesced.Load()
 	resp.UptimeSeconds = time.Since(s.started).Seconds()
-	if t.sdb != nil {
-		resp.WALRecords, resp.CheckpointVer = t.sdb.SinceCheckpoint()
-	}
-	if t.rep != nil {
-		lag := t.rep.Lag()
-		rj := &replicationJSON{
-			AppliedVersion: t.rep.Version(),
-			VersionsBehind: lag.Versions,
-			BytesBehind:    lag.Bytes,
-			Ready:          t.rep.Ready(),
-			Resyncs:        t.rep.Resyncs(),
-		}
-		if err := t.rep.Err(); err != nil {
-			rj.LastError = err.Error()
-		}
-		resp.Replication = rj
-	}
 	s.mu.RLock()
 	resp.DBs = len(s.tenants)
 	s.mu.RUnlock()
@@ -539,7 +488,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 }
 
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
-	threshold := t.threshold()
+	threshold := t.db.threshold()
 	if q := r.URL.Query().Get("threshold"); q != "" {
 		v, err := strconv.ParseFloat(q, 64)
 		// Reject non-finite values outright: beyond being meaningless as
@@ -555,12 +504,12 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
 	// requests share one engine call and one JSON encoding. If a commit
 	// lands between keying and answering, the shared answer is simply the
 	// newer version's (reported in its body) — still one consistent epoch.
-	key := coalKey{version: t.version(), threshold: threshold}
+	key := coalKey{version: t.db.version(), threshold: threshold}
 	body, err := t.coal.do(key, func() ([]byte, error) {
 		// Compute detached from the leader's request context: followers
 		// with live connections share this result, and the leader's client
 		// hanging up must not fail them all with its cancellation.
-		res, err := t.answersThreshold(context.WithoutCancel(r.Context()), threshold)
+		res, err := t.db.answers(context.WithoutCancel(r.Context()), threshold)
 		if err != nil {
 			return nil, err
 		}
@@ -585,7 +534,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
 		return json.Marshal(resp)
 	})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		writeErr(w, queryErrStatus(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -593,7 +542,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
 }
 
 func (s *server) handleQuality(w http.ResponseWriter, r *http.Request, t *tenant) {
-	k := t.k()
+	k := t.db.k()
 	if q := r.URL.Query().Get("k"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
@@ -602,9 +551,9 @@ func (s *server) handleQuality(w http.ResponseWriter, r *http.Request, t *tenant
 		}
 		k = v
 	}
-	quality, version, err := t.qualityAtVersion(r.Context(), k)
+	quality, version, err := t.db.qualityAt(r.Context(), k)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, queryErrStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, qualityResponse{Version: version, K: k, Quality: quality})
@@ -667,7 +616,8 @@ func wireToPlan(m map[string]int) (topkclean.CleaningPlan, error) {
 var errShardedCleaning = errors.New("budgeted cleaning is not supported on sharded databases yet; create the database with shards=1")
 
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
-	if t.clu != nil {
+	edb, ok := t.db.(*engineDB)
+	if !ok {
 		writeErr(w, http.StatusBadRequest, errShardedCleaning)
 		return
 	}
@@ -679,7 +629,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
 	if req.Planner == "" {
 		req.Planner = "greedy"
 	}
-	eng := t.engine()
+	eng := edb.engine()
 	spec, err := buildSpec(eng.DB().Snapshot().NumGroups(), req.Spec)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -702,7 +652,8 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
 }
 
 func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) {
-	if t.clu != nil {
+	edb, ok := t.db.(*engineDB)
+	if !ok {
 		writeErr(w, http.StatusBadRequest, errShardedCleaning)
 		return
 	}
@@ -714,7 +665,8 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 	if req.Planner == "" {
 		req.Planner = "greedy"
 	}
-	spec, err := buildSpec(t.eng.DB().Snapshot().NumGroups(), req.Spec)
+	eng := edb.eng // writes reach only leaders, whose engine is fixed
+	spec, err := buildSpec(eng.DB().Snapshot().NumGroups(), req.Spec)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -726,9 +678,9 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		cctx, err = t.eng.CleaningContext(r.Context(), spec, req.Budget)
+		cctx, err = eng.CleaningContext(r.Context(), spec, req.Budget)
 	} else {
-		plan, cctx, err = t.eng.PlanCleaning(r.Context(), req.Planner, spec, req.Budget)
+		plan, cctx, err = eng.PlanCleaning(r.Context(), req.Planner, spec, req.Budget)
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -753,14 +705,14 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 	// ApplyCleaning with the same 409 it would have before the lock.
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	out, err := t.eng.ApplyCleaning(r.Context(), cctx, plan, rand.New(rand.NewSource(seed)))
-	if t.sdb != nil && out != nil {
+	out, err := eng.ApplyCleaning(r.Context(), cctx, plan, rand.New(rand.NewSource(seed)))
+	if edb.sdb != nil && out != nil {
 		// The collapses are committed (even when err != nil: ApplyCleaning
 		// returns the outcome alongside a failed re-evaluation); journal
 		// them before answering anything, or the live database would be
 		// ahead of the WAL and the store would poison itself on the next
 		// write while the cleaning silently vanished on recovery.
-		if jerr := t.sdb.JournalCleaning(out.Choices); jerr != nil {
+		if jerr := edb.sdb.JournalCleaning(out.Choices); jerr != nil {
 			writeErr(w, http.StatusInternalServerError, jerr)
 			return
 		}
@@ -860,36 +812,11 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request, t *tenant)
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
 	var applied int
-	var err error
-	var base uint64
-	var groups, tuples int
-	if t.clu != nil {
-		// Sharded tenants: the cluster's batch has the same
-		// prefix-on-failure, one-epoch-per-request semantics (the shard
-		// package's differential battery pins the parity, error texts
-		// included), with the router splitting ops across shards.
-		base = t.clu.Version()
-		err = t.clu.Batch(func(b *shard.Batch) error {
-			applied, err = applyReqOps(b, req.Ops)
-			return err
-		})
-		groups, tuples = t.clu.NumGroups(), t.clu.NumTuples()
-	} else {
-		db := t.eng.DB()
-		base = db.Version()
-		if t.sdb != nil {
-			err = t.sdb.Batch(func(b *store.Batch) error {
-				applied, err = applyReqOps(b, req.Ops)
-				return err
-			})
-		} else {
-			err = db.Batch(func(b *topkclean.Batch) error {
-				applied, err = applyReqOps(b, req.Ops)
-				return err
-			})
-		}
-		groups, tuples = db.NumGroups(), db.NumTuples()
-	}
+	base, groups, tuples, err := t.db.batch(func(b opSink) error {
+		var err error
+		applied, err = applyReqOps(b, req.Ops)
+		return err
+	})
 	version := base
 	if applied > 0 {
 		version++ // the batch committed exactly one epoch

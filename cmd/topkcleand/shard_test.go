@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +76,29 @@ func TestShardedHTTPDifferential(t *testing.T) {
 		}
 	}
 	compare("initial")
+
+	// A k above the x-tuple count is the client's error on both layers:
+	// 400, with byte-identical bodies.
+	var st statsResponse
+	getJSON(t, pts.URL+"/stats", &st)
+	var bodies [2][]byte
+	for i, base := range []string{sts.URL, pts.URL} {
+		resp, err := http.Get(base + "/quality?k=" + strconv.Itoa(st.XTuples+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s /quality?k=m+1: status %d, want 400 (%s)", base, resp.StatusCode, bodies[i])
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("/quality?k=m+1 error bodies differ:\nsharded:   %s\nunsharded: %s", bodies[0], bodies[1])
+	}
 
 	// Inserts spanning the score range (top, middle, bottom), a collapse,
 	// a delete, and an absent insert — every op kind the router handles.
@@ -210,8 +236,8 @@ func TestShardedDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.clu == nil || !rt.cluDurable || rt.cfg.Shards != 3 {
-		t.Fatalf("recovered tenant is not a durable 3-shard cluster: clu=%v durable=%v cfg=%+v", rt.clu != nil, rt.cluDurable, rt.cfg)
+	if cdb, ok := rt.db.(*clusterDB); !ok || !cdb.journaled || rt.cfg.Shards != 3 {
+		t.Fatalf("recovered tenant is not a durable 3-shard cluster: cluster=%v durable=%v cfg=%+v", ok, rt.db.durable(), rt.cfg)
 	}
 	if got := getBytes(t, ts2.URL+"/topk"); string(got) != string(topkBefore) {
 		t.Fatalf("topk diverged across restart:\nbefore: %s\nafter:  %s", topkBefore, got)

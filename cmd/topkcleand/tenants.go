@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,70 +18,206 @@ import (
 	"github.com/probdb/topkclean/internal/replica"
 	"github.com/probdb/topkclean/internal/shard"
 	"github.com/probdb/topkclean/internal/store"
+	"github.com/probdb/topkclean/internal/topkq"
 )
 
-// A tenant is one named database with everything serving it: the engine
-// (queries, planning), the optional persistence handle (nil = ephemeral),
-// the replica handle on follower daemons, the per-tenant query coalescer,
-// and the write mutex that keeps WAL order equal to commit order across
-// /mutate and /apply. A sharded tenant (created with shards > 1) serves
-// through clu instead of eng: the range-sharded cluster owns its own
-// per-shard stores and merge coordinator (see DESIGN.md "Sharded
-// serving").
+// A tenant is one named database with everything serving it: the
+// servingDB that answers queries and commits batches (an engine over one
+// database, or a range-sharded cluster — see DESIGN.md "Sharded
+// serving"), the per-tenant query coalescer, and the write mutex that
+// keeps WAL order equal to commit order across /mutate and /apply.
 type tenant struct {
-	name       string
-	eng        *topkclean.Engine
-	clu        *shard.Cluster   // non-nil: sharded serving (leaders only)
-	cluDurable bool             // the cluster journals its shards under -store
-	sdb        *store.DB        // nil when the daemon runs without -store
-	rep        *replica.Replica // non-nil on follower daemons
-	cfg        tenantConfig
-	coal       coalescer
-	applies    atomic.Int64 // per-apply rng decorrelation counter
-	writeMu    sync.Mutex   // serializes journaled writes; queries never take it
-	engMu      sync.Mutex   // follower only: guards the engine rebuild below
-	engGen     uint64       // replica generation the current engine was built on
-	created    time.Time
+	name    string
+	db      servingDB
+	cfg     tenantConfig
+	coal    coalescer
+	applies atomic.Int64 // per-apply rng decorrelation counter
+	writeMu sync.Mutex   // serializes journaled writes; queries never take it
+	created time.Time
 }
 
-// durable reports whether the tenant survives restarts (its own journal,
-// or — on a follower — the leader's).
-func (t *tenant) durable() bool { return t.sdb != nil || t.rep != nil || t.cluDurable }
-
-// version is the tenant's current committed version, whichever layer
-// serves it.
-func (t *tenant) version() uint64 {
-	if t.clu != nil {
-		return t.clu.Version()
-	}
-	return t.engine().DB().Snapshot().Version()
+// makeTenant wraps a servingDB as a registry entry.
+func makeTenant(name string, db servingDB, cfg tenantConfig) *tenant {
+	t := &tenant{name: name, db: db, cfg: cfg, created: time.Now()}
+	t.coal.inflight = make(map[coalKey]*coalCall)
+	return t
 }
 
-// k and threshold are the tenant's query defaults.
-func (t *tenant) k() int {
-	if t.clu != nil {
-		return t.clu.K()
-	}
-	return t.engine().K()
+// servingDB is what serves one tenant's database. Both implementations
+// produce bit-identical answers (the shard package's differential
+// battery pins this), so handlers never know which one served them.
+type servingDB interface {
+	version() uint64 // current committed version
+	k() int          // query defaults
+	threshold() float64
+	// answers evaluates the three top-k semantics plus quality from one
+	// pinned epoch.
+	answers(ctx context.Context, threshold float64) (*topkclean.Result, error)
+	// qualityAt evaluates the PWS-quality at an explicit k, with the
+	// version it was computed against.
+	qualityAt(ctx context.Context, k int) (float64, uint64, error)
+	// stats reports the size and query defaults of the current epoch;
+	// with detail it adds the layer's own counters (journal lag,
+	// replication, per-shard scans), which may take its writer lock.
+	stats(detail bool) statsResponse
+	// batch commits fn's ops as one epoch, reporting the version it
+	// started from and the size after.
+	batch(fn func(opSink) error) (base uint64, groups, tuples int, err error)
+	durable() bool // survives restarts (its own journal, or the leader's)
+	close() error  // flush and release storage (final checkpoint, replica stop)
 }
 
-func (t *tenant) threshold() float64 {
-	if t.clu != nil {
-		return t.clu.Threshold()
+// queryErrStatus classifies a query error once for every route: a k the
+// database cannot answer (below 1, or above its x-tuple count) is the
+// client's 400; anything else is the server's 500.
+func queryErrStatus(err error) int {
+	if errors.Is(err, topkq.ErrBadK) || errors.Is(err, topkq.ErrKTooLarge) {
+		return http.StatusBadRequest
 	}
-	return t.engine().Threshold()
+	return http.StatusInternalServerError
 }
 
-// answersThreshold answers the three top-k semantics plus quality from
-// one pinned epoch — through the merge coordinator on sharded tenants,
-// the engine otherwise. Both layers produce bit-identical answers (the
-// shard package's differential battery pins this), so callers never know
-// which served them.
-func (t *tenant) answersThreshold(ctx context.Context, threshold float64) (*topkclean.Result, error) {
-	if t.clu == nil {
-		return t.engine().AnswersThreshold(ctx, threshold)
+// engineDB serves one database through the library engine: a leader's
+// (journaled to its store, or in memory) or a follower's replica.
+type engineDB struct {
+	cfg tenantConfig
+	sdb *store.DB        // nil when ephemeral or on a follower
+	rep *replica.Replica // non-nil on follower daemons
+
+	mu  sync.Mutex // follower only: guards the engine rebuild below
+	eng *topkclean.Engine
+	gen uint64 // replica generation eng was built on
+}
+
+// newEngineDB wires the engine for a database.
+func newEngineDB(db *topkclean.Database, sdb *store.DB, rep *replica.Replica, cfg tenantConfig) (*engineDB, error) {
+	eng, err := cfg.newEngine(db)
+	if err != nil {
+		return nil, err
 	}
-	r, err := t.clu.AnswersThreshold(ctx, threshold)
+	return &engineDB{cfg: cfg, sdb: sdb, rep: rep, eng: eng}, nil
+}
+
+func (c tenantConfig) newEngine(db *topkclean.Database) (*topkclean.Engine, error) {
+	return topkclean.New(db,
+		topkclean.WithK(c.K),
+		topkclean.WithPTKThreshold(c.Threshold),
+		topkclean.WithSeed(c.Seed))
+}
+
+// engine returns the engine to serve queries from. On a leader it is
+// fixed for the tenant's lifetime. On a follower the replica's
+// incremental tailing keeps the same database (and the engine's
+// snapshot-keyed memoization stays warm across replicated commits), but a
+// resync — the leader checkpointed past this follower — replaces the
+// database wholesale; the engine is then rebuilt over the new one, keyed
+// by the replica's generation. A rebuild failure keeps serving the
+// previous engine (bounded staleness beats an outage) and retries on the
+// next request.
+func (e *engineDB) engine() *topkclean.Engine {
+	if e.rep == nil {
+		return e.eng
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if gen := e.rep.Generation(); gen != e.gen {
+		if eng, err := e.cfg.newEngine(e.rep.DB()); err == nil {
+			e.eng = eng
+			e.gen = gen
+		}
+	}
+	return e.eng
+}
+
+func (e *engineDB) version() uint64    { return e.engine().DB().Snapshot().Version() }
+func (e *engineDB) k() int             { return e.engine().K() }
+func (e *engineDB) threshold() float64 { return e.engine().Threshold() }
+func (e *engineDB) durable() bool      { return e.sdb != nil || e.rep != nil }
+
+func (e *engineDB) answers(ctx context.Context, threshold float64) (*topkclean.Result, error) {
+	return e.engine().AnswersThreshold(ctx, threshold)
+}
+
+func (e *engineDB) qualityAt(ctx context.Context, k int) (float64, uint64, error) {
+	return e.engine().QualityAtVersion(ctx, k)
+}
+
+func (e *engineDB) stats(detail bool) statsResponse {
+	eng := e.engine()
+	snap := eng.DB().Snapshot()
+	st := statsResponse{
+		Version:    snap.Version(),
+		XTuples:    snap.NumGroups(),
+		Tuples:     snap.NumTuples(),
+		RealTuples: snap.NumRealTuples(),
+		K:          eng.K(),
+		Threshold:  eng.Threshold(),
+		Durable:    e.durable(),
+	}
+	if !detail {
+		return st
+	}
+	if e.sdb != nil {
+		st.WALRecords, st.CheckpointVer = e.sdb.SinceCheckpoint()
+	}
+	if e.rep != nil {
+		lag := e.rep.Lag()
+		rj := &replicationJSON{
+			AppliedVersion: e.rep.Version(),
+			VersionsBehind: lag.Versions,
+			BytesBehind:    lag.Bytes,
+			Ready:          e.rep.Ready(),
+			Resyncs:        e.rep.Resyncs(),
+		}
+		if err := e.rep.Err(); err != nil {
+			rj.LastError = err.Error()
+		}
+		st.Replication = rj
+	}
+	return st
+}
+
+// batch commits through the store on durable tenants (journaling each
+// successful op) and straight to the database otherwise. Writes reach
+// only leaders, whose engine is fixed.
+func (e *engineDB) batch(fn func(opSink) error) (uint64, int, int, error) {
+	db := e.eng.DB()
+	base := db.Version()
+	var err error
+	if e.sdb != nil {
+		err = e.sdb.Batch(func(b *store.Batch) error { return fn(b) })
+	} else {
+		err = db.Batch(func(b *topkclean.Batch) error { return fn(b) })
+	}
+	return base, db.NumGroups(), db.NumTuples(), err
+}
+
+func (e *engineDB) close() error {
+	if e.rep != nil {
+		return e.rep.Close()
+	}
+	if e.sdb != nil {
+		return e.sdb.Close()
+	}
+	return nil
+}
+
+// clusterDB serves a range-sharded database through its merge
+// coordinator. The cluster owns its per-shard stores (leaders only:
+// followers skip sharded databases).
+type clusterDB struct {
+	c         *shard.Cluster
+	journaled bool // the cluster journals its shards under -store
+}
+
+func (d *clusterDB) version() uint64    { return d.c.Version() }
+func (d *clusterDB) k() int             { return d.c.K() }
+func (d *clusterDB) threshold() float64 { return d.c.Threshold() }
+func (d *clusterDB) durable() bool      { return d.journaled }
+func (d *clusterDB) close() error       { return d.c.Close() }
+
+func (d *clusterDB) answers(ctx context.Context, threshold float64) (*topkclean.Result, error) {
+	r, err := d.c.AnswersThreshold(ctx, threshold)
 	if err != nil {
 		return nil, err
 	}
@@ -95,52 +232,34 @@ func (t *tenant) answersThreshold(ctx context.Context, threshold float64) (*topk
 	}, nil
 }
 
-// qualityAtVersion evaluates the PWS-quality at an explicit k.
-func (t *tenant) qualityAtVersion(ctx context.Context, k int) (float64, uint64, error) {
-	if t.clu != nil {
-		return t.clu.QualityAtVersion(ctx, k)
-	}
-	return t.engine().QualityAtVersion(ctx, k)
+func (d *clusterDB) qualityAt(ctx context.Context, k int) (float64, uint64, error) {
+	return d.c.QualityAtVersion(ctx, k)
 }
 
-// warm runs the tenant's memoized answer pass once, so the first request
-// is not the slow one.
-func (t *tenant) warm(ctx context.Context) error {
-	var err error
-	if t.clu != nil {
-		_, err = t.clu.Answers(ctx)
-	} else {
-		_, err = t.engine().Answers(ctx)
+func (d *clusterDB) stats(detail bool) statsResponse {
+	st := statsResponse{
+		Version:    d.c.Version(),
+		XTuples:    d.c.NumGroups(),
+		Tuples:     d.c.NumTuples(),
+		RealTuples: d.c.NumRealTuples(),
+		K:          d.c.K(),
+		Threshold:  d.c.Threshold(),
+		Durable:    d.journaled,
 	}
-	return err
+	if detail {
+		st.Shards = d.c.Stats()
+	}
+	return st
 }
 
-// engine returns the engine to serve queries from. On a leader it is the
-// tenant's engine, fixed for the tenant's lifetime. On a follower the
-// replica's incremental tailing keeps the same database (and the engine's
-// snapshot-keyed memoization stays warm across replicated commits), but a
-// resync — the leader checkpointed past this follower — replaces the
-// database wholesale; the engine is then rebuilt over the new one, keyed
-// by the replica's generation. A rebuild failure keeps serving the
-// previous engine (bounded staleness beats an outage) and retries on the
-// next request.
-func (t *tenant) engine() *topkclean.Engine {
-	if t.rep == nil {
-		return t.eng
-	}
-	t.engMu.Lock()
-	defer t.engMu.Unlock()
-	if gen := t.rep.Generation(); gen != t.engGen {
-		eng, err := topkclean.New(t.rep.DB(),
-			topkclean.WithK(t.cfg.K),
-			topkclean.WithPTKThreshold(t.cfg.Threshold),
-			topkclean.WithSeed(t.cfg.Seed))
-		if err == nil {
-			t.eng = eng
-			t.engGen = gen
-		}
-	}
-	return t.eng
+// batch commits through the cluster's router. Its batch has the same
+// prefix-on-failure, one-epoch-per-request semantics as the engine's
+// (the shard package's differential battery pins the parity, error texts
+// included), with the router splitting ops across shards.
+func (d *clusterDB) batch(fn func(opSink) error) (uint64, int, int, error) {
+	base := d.c.Version()
+	err := d.c.Batch(func(b *shard.Batch) error { return fn(b) })
+	return base, d.c.NumGroups(), d.c.NumTuples(), err
 }
 
 // tenantConfig is the per-database serving configuration, persisted as
@@ -264,7 +383,7 @@ func (s *server) addTenant(name string, db *topkclean.Database, cfg tenantConfig
 		sdb, err = store.Create(backend, db, s.storeOptions()...)
 		if err != nil {
 			backend.Close()
-			s.dropTenantStorage(name)
+			_ = s.dropStorage(name, 1) // best effort: the create error is what the caller sees
 			return nil, err
 		}
 		// tenant.json lives next to the journal; only the file backend has
@@ -273,7 +392,7 @@ func (s *server) addTenant(name string, db *topkclean.Database, cfg tenantConfig
 		if s.cfg.storeBackend == "file" {
 			if err := writeTenantConfig(dir, cfg); err != nil {
 				sdb.Close()
-				s.dropTenantStorage(name) // leave no half-created store a retry would trip over
+				_ = s.dropStorage(name, 1) // best effort: leave no half-created store a retry would trip over
 				return nil, err
 			}
 		}
@@ -282,7 +401,7 @@ func (s *server) addTenant(name string, db *topkclean.Database, cfg tenantConfig
 	if err != nil {
 		if sdb != nil {
 			sdb.Close()
-			s.dropTenantStorage(name)
+			_ = s.dropStorage(name, 1) // best effort: the create error is what the caller sees
 		}
 		return nil, err
 	}
@@ -308,36 +427,18 @@ func (s *server) addShardTenant(name string, db *topkclean.Database, cfg tenantC
 	clu, err := shard.FromDatabase(db, scfg)
 	if err != nil {
 		if durable {
-			s.dropShardStorage(name, cfg.Shards)
+			_ = s.dropStorage(name, cfg.Shards) // best effort: the create error is what the caller sees
 		}
 		return nil, err
 	}
 	if durable && s.cfg.storeBackend == "file" {
 		if err := writeTenantConfig(s.tenantPath(name), cfg); err != nil {
 			clu.Close()
-			s.dropShardStorage(name, cfg.Shards)
+			_ = s.dropStorage(name, cfg.Shards) // best effort: the create error is what the caller sees
 			return nil, err
 		}
 	}
-	t := &tenant{name: name, clu: clu, cluDurable: durable, cfg: cfg, created: time.Now()}
-	t.coal.inflight = make(map[coalKey]*coalCall)
-	return t, nil
-}
-
-// dropShardStorage removes a sharded tenant's persisted state: the whole
-// directory on the file backend, each shard journal plus the meta journal
-// on mem.
-func (s *server) dropShardStorage(name string, shards int) {
-	dir := s.tenantPath(name)
-	switch s.cfg.storeBackend {
-	case "file":
-		os.RemoveAll(dir)
-	case "mem":
-		for i := 0; i < shards; i++ {
-			store.DropMem(filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
-		}
-		store.DropMem(filepath.Join(dir, "meta"))
-	}
+	return makeTenant(name, &clusterDB{c: clu, journaled: durable}, cfg), nil
 }
 
 // tenantPath is where a tenant's journal lives: a directory for the file
@@ -346,29 +447,35 @@ func (s *server) tenantPath(name string) string {
 	return filepath.Join(s.cfg.storeRoot, name)
 }
 
-// dropTenantStorage removes whatever the tenant's backend keeps at its
-// path — the cleanup half of create failures and deletions.
-func (s *server) dropTenantStorage(name string) {
+// dropStorage removes whatever a tenant's backend keeps at its path — the
+// cleanup half of create failures and deletions: the whole directory on
+// the file backend; on mem, the one journal of an unsharded tenant, or
+// each shard journal plus the meta journal of a sharded one.
+func (s *server) dropStorage(name string, shards int) error {
+	dir := s.tenantPath(name)
 	switch s.cfg.storeBackend {
 	case "file":
-		os.RemoveAll(s.tenantPath(name))
+		return os.RemoveAll(dir)
 	case "mem":
-		store.DropMem(s.tenantPath(name))
+		if shards <= 1 {
+			store.DropMem(dir)
+			return nil
+		}
+		for i := 0; i < shards; i++ {
+			store.DropMem(filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
+		}
+		store.DropMem(filepath.Join(dir, "meta"))
 	}
+	return nil
 }
 
 // newTenant wires the engine and serving state for a database.
 func (s *server) newTenant(name string, db *topkclean.Database, sdb *store.DB, rep *replica.Replica, cfg tenantConfig) (*tenant, error) {
-	eng, err := topkclean.New(db,
-		topkclean.WithK(cfg.K),
-		topkclean.WithPTKThreshold(cfg.Threshold),
-		topkclean.WithSeed(cfg.Seed))
+	edb, err := newEngineDB(db, sdb, rep, cfg)
 	if err != nil {
 		return nil, err
 	}
-	t := &tenant{name: name, eng: eng, sdb: sdb, rep: rep, cfg: cfg, created: time.Now()}
-	t.coal.inflight = make(map[coalKey]*coalCall)
-	return t, nil
+	return makeTenant(name, edb, cfg), nil
 }
 
 // recoverTenants opens every database persisted under the store root —
@@ -406,10 +513,8 @@ func (s *server) recoverTenants(logf func(format string, args ...any)) error {
 				logf("recover %s: %v (skipped)", name, err)
 				continue
 			}
-			t := &tenant{name: name, clu: clu, cluDurable: true, cfg: cfg, created: time.Now()}
-			t.coal.inflight = make(map[coalKey]*coalCall)
 			s.mu.Lock()
-			s.tenants[name] = t
+			s.tenants[name] = makeTenant(name, &clusterDB{c: clu, journaled: true}, cfg)
 			s.mu.Unlock()
 			logf("recovered %s at version %d (%d x-tuples, k=%d threshold=%g, %d shards)",
 				name, clu.Version(), clu.NumGroups(), cfg.K, cfg.Threshold, cfg.Shards)
@@ -570,7 +675,7 @@ func (s *server) deleteTenant(name string) error {
 	s.mu.RLock()
 	peek, attached := s.tenants[name]
 	s.mu.RUnlock()
-	if attached && peek.sdb != nil && s.cfg.storeBackend == "file" && store.ReadersAttached(s.tenantPath(name)) {
+	if attached && peek.db.durable() && s.cfg.storeBackend == "file" && store.ReadersAttached(s.tenantPath(name)) {
 		return fmt.Errorf("database %q has followers attached; detach them before deleting", name)
 	}
 	s.mu.Lock()
@@ -588,29 +693,18 @@ func (s *server) deleteTenant(name string) error {
 		delete(s.creating, name)
 		s.mu.Unlock()
 	}()
-	if t.clu != nil {
-		t.writeMu.Lock()
-		defer t.writeMu.Unlock()
-		_ = t.clu.Close()
-		if t.cluDurable {
-			s.dropShardStorage(name, t.cfg.Shards)
-		}
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	// The storage is about to be removed, so a failed final checkpoint
+	// inside close is irrelevant — removal is the intent.
+	_ = t.db.close()
+	if !t.db.durable() {
 		return nil
 	}
-	if t.sdb != nil {
-		t.writeMu.Lock()
-		defer t.writeMu.Unlock()
-		// The journal is about to be unlinked, so a failed final
-		// checkpoint inside Close is irrelevant — removal is the intent.
-		_ = t.sdb.Close()
-		if err := os.RemoveAll(filepath.Join(s.cfg.storeRoot, name)); err != nil {
-			// The tenant is gone from serving but its directory survived;
-			// it will resurrect on the next restart. Surface that.
-			return fmt.Errorf("unregistered, but deleting its storage failed (it will be recovered on restart): %w", err)
-		}
-		if s.cfg.storeBackend == "mem" {
-			s.dropTenantStorage(name)
-		}
+	if err := s.dropStorage(name, t.cfg.Shards); err != nil {
+		// The tenant is gone from serving but its directory survived;
+		// it will resurrect on the next restart. Surface that.
+		return fmt.Errorf("unregistered, but deleting its storage failed (it will be recovered on restart): %w", err)
 	}
 	return nil
 }
@@ -621,24 +715,9 @@ func (s *server) deleteTenant(name string) error {
 func (s *server) closeStores(logf func(format string, args ...any)) {
 	s.draining.Store(true) // stop the follower rescan from attaching more
 	for _, t := range s.tenantList() {
-		if t.rep != nil {
-			if err := t.rep.Close(); err != nil {
-				logf("stop replica %s: %v", t.name, err)
-			}
-		}
-		if t.clu != nil {
-			t.writeMu.Lock()
-			if err := t.clu.Close(); err != nil {
-				logf("flush %s: %v", t.name, err)
-			}
-			t.writeMu.Unlock()
-		}
-		if t.sdb == nil {
-			continue
-		}
 		t.writeMu.Lock()
-		if err := t.sdb.Close(); err != nil {
-			logf("flush %s: %v", t.name, err)
+		if err := t.db.close(); err != nil {
+			logf("close %s: %v", t.name, err)
 		}
 		t.writeMu.Unlock()
 	}

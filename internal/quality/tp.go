@@ -54,20 +54,21 @@ func TP(db *uncertain.Database, k int) (*Evaluation, error) {
 // score (Figure 1(b), Section IV-C). The incremental weight computation
 // below is the only extra work, which is why the paper measures the quality
 // overhead at just a few percent of query time for large k.
-func TPFromInfo(db *uncertain.Database, info *topkq.RankInfo) (*Evaluation, error) {
-	if !db.Built() {
+//
+// src is the rank source info was computed from — a database, or a shard
+// merge, whose global group indices then index GroupGain.
+func TPFromInfo(src topkq.Source, info *topkq.RankInfo) (*Evaluation, error) {
+	if !src.Built() {
 		return nil, uncertain.ErrNotBuilt
 	}
-	if info == nil || info.N != db.NumTuples() {
+	n := src.NumTuples()
+	if info == nil || info.N != n {
 		return nil, fmt.Errorf("quality: rank info does not match database")
 	}
-	m := db.NumGroups()
-	limit0 := info.Processed
-	if limit0 > db.NumTuples() {
-		limit0 = db.NumTuples()
-	}
+	m := src.NumGroups()
+	limit := min(info.Processed, n)
 	ev := &Evaluation{
-		Omega:     make([]float64, limit0),
+		Omega:     make([]float64, limit),
 		GroupGain: make([]float64, m),
 		Info:      info,
 	}
@@ -80,14 +81,12 @@ func TPFromInfo(db *uncertain.Database, info *topkq.RankInfo) (*Evaluation, erro
 	E := scratchE(m)
 	defer eScratch.Put(E)
 	var s numeric.Kahan
-	limit := limit0
-	// Chunk cursor instead of materializing Sorted(): this pass runs after
-	// every mutation in the serving loop, and the processed prefix is
-	// usually a small fraction of a large database.
-	cur := db.CursorAt(0)
-	for i := 0; i < limit; i++ {
-		t := cur.Next()
-		l := t.Group
+	// Run iteration instead of materializing the rank order: this pass
+	// runs after every mutation in the serving loop, and the processed
+	// prefix is usually a small fraction of a large database.
+	i := -1
+	for t, l := range topkq.Ranks(src, 0, limit) {
+		i++
 		E[l] += t.Prob
 		p := info.P(i)
 		if p == 0 {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/probdb/topkclean/internal/quality"
 	"github.com/probdb/topkclean/internal/topkq"
@@ -9,13 +10,15 @@ import (
 )
 
 // This file is the merge coordinator: it presents one epoch's shard
-// snapshots as the single global rank stream topkq.ScanStream consumes.
-// The range invariant makes the merge trivial — no heap, no k-way
-// comparison: the global real order is shard 0's reals, then shard 1's,
-// ..., and the global null order is the directory's global group order.
-// The stream is pulled lazily, so when Lemma 2 terminates the scan inside
-// shard s, the cursors of shards s+1..N-1 are never even opened — the
-// early-termination isolation the per-shard scan counters prove in tests.
+// snapshots as a single global rank source (topkq.Source), which the one
+// PSR kernel, the three semantics and TP read exactly as they read an
+// unsharded database. The range invariant makes the merge trivial — no
+// heap, no k-way comparison: the global real order is shard 0's reals,
+// then shard 1's, ..., and the global null order is the directory's
+// global group order. The source is pulled lazily, so when Lemma 2
+// terminates the scan inside shard s, the cursors of shards s+1..N-1 are
+// never even opened — the early-termination isolation the per-shard scan
+// counters prove in tests.
 
 // Result is the sharded engine's answer bundle, mirroring the unsharded
 // engine's Result surface the daemon serves.
@@ -32,55 +35,99 @@ type Result struct {
 // answers is the memoized threshold-independent evaluation of one epoch.
 type answers struct {
 	version uint64
-	si      *topkq.StreamInfo
+	src     *mergeSource
+	info    *topkq.RankInfo
 	uk      []topkq.RankedAnswer
 	gtk     []topkq.ScoredAnswer
 	quality float64
 	err     error
 }
 
-// mergeNext returns the lazy pull function over epoch e, charging each
-// pull to the owning shard's cumulative scan counter. A shard's count
-// includes the one extra pull (its first null) that proves its reals are
-// exhausted; shards the scan never reaches stay at zero.
-func (c *Cluster) mergeNext(e *epoch) func() (*uncertain.Tuple, int, bool) {
-	var cur uncertain.Cursor
-	s, open := 0, false
-	nullIdx := 0
-	realPhase := true
-	return func() (*uncertain.Tuple, int, bool) {
-		for realPhase {
-			if s >= len(e.snaps) {
-				realPhase = false
-				break
-			}
-			if !open {
-				cur = e.snaps[s].CursorAt(0)
-				open = true
-			}
-			t := cur.Next()
-			if t != nil {
-				c.shards[s].scanned.Add(1)
-			}
-			if t == nil || t.Null {
-				s, open = s+1, false // this shard's reals are done
-				continue
-			}
-			return t, int(e.perShard[s][t.Group]), true
-		}
-		for nullIdx < len(e.entries) {
-			en := e.entries[nullIdx]
-			gi := nullIdx
-			nullIdx++
-			nt := e.snaps[en.shard].Groups()[en.local].NullTuple()
-			if nt == nil {
-				continue // group's alternatives sum to 1; no null event
-			}
-			c.shards[en.shard].scanned.Add(1)
-			return nt, gi, true
-		}
-		return nil, 0, false
+// mergeSource is the N-shard rank source over one epoch. It keeps the
+// prefix it has pulled, so the passes after the PSR scan (semantics, TP)
+// re-read that prefix instead of pulling again, and each pull is charged
+// to the owning shard's cumulative scan counter exactly once. A shard's
+// count includes the one extra pull (its first null) that proves its
+// reals are exhausted; shards the scan never reaches stay at zero.
+//
+// Pulls are not synchronized: one pass extends the prefix at a time
+// (evalAt holds qmu, and other passes own their source). Reads of the
+// pulled prefix are safe from any number of goroutines.
+type mergeSource struct {
+	shards []*shardHandle
+	e      *epoch
+	ts     []*uncertain.Tuple
+	gs     []int
+	cur    uncertain.Cursor
+	s      int  // shard whose reals are being pulled; len(snaps) in the null phase
+	open   bool // cur is positioned in shard s
+	nullAt int  // next directory entry of the null phase
+}
+
+// merge returns a fresh source over epoch e.
+func (c *Cluster) merge(e *epoch) *mergeSource {
+	return &mergeSource{shards: c.shards, e: e, ts: make([]*uncertain.Tuple, 0, 256), gs: make([]int, 0, 256)}
+}
+
+func (m *mergeSource) Built() bool    { return true }
+func (m *mergeSource) NumGroups() int { return m.e.m }
+func (m *mergeSource) NumTuples() int { return m.e.n }
+
+// Group returns the shard-local x-tuple holding global group g.
+func (m *mergeSource) Group(g int) (*uncertain.XTuple, error) {
+	if g < 0 || g >= len(m.e.entries) {
+		return nil, fmt.Errorf("global group %d of %d: %w", g, len(m.e.entries), uncertain.ErrBadGroupIndex)
 	}
+	en := m.e.entries[g]
+	return m.e.snaps[en.shard].Group(int(en.local))
+}
+
+// RankRun returns the pulled prefix from pos on, first pulling one more
+// alternative when pos is the end of the prefix.
+func (m *mergeSource) RankRun(pos int) ([]*uncertain.Tuple, []int) {
+	if pos == len(m.ts) {
+		if t, g, ok := m.pull(); ok {
+			m.ts = append(m.ts, t)
+			m.gs = append(m.gs, g)
+		}
+	}
+	if pos < 0 || pos >= len(m.ts) {
+		return nil, nil
+	}
+	return m.ts[pos:], m.gs[pos:]
+}
+
+// pull returns the next alternative of the merged order and its global
+// group, charging it to its shard.
+func (m *mergeSource) pull() (*uncertain.Tuple, int, bool) {
+	e, shards := m.e, m.shards
+	for m.s < len(e.snaps) {
+		if !m.open {
+			m.cur = e.snaps[m.s].CursorAt(0)
+			m.open = true
+		}
+		t := m.cur.Next()
+		if t != nil {
+			shards[m.s].scanned.Add(1)
+		}
+		if t == nil || t.Null {
+			m.s, m.open = m.s+1, false // this shard's reals are done
+			continue
+		}
+		return t, int(e.perShard[m.s][t.Group]), true
+	}
+	for m.nullAt < len(e.entries) {
+		en := e.entries[m.nullAt]
+		gi := m.nullAt
+		m.nullAt++
+		nt := e.snaps[en.shard].Groups()[en.local].NullTuple()
+		if nt == nil {
+			continue // group's alternatives sum to 1; no null event
+		}
+		shards[en.shard].scanned.Add(1)
+		return nt, gi, true
+	}
+	return nil, 0, false
 }
 
 // evalAt returns the memoized evaluation of epoch e, computing it on
@@ -98,15 +145,15 @@ func (c *Cluster) evalAt(ctx context.Context, e *epoch) (*answers, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	a := &answers{version: e.version}
-	a.si, a.err = topkq.ScanStream(c.cfg.K, e.m, e.n, c.mergeNext(e), true)
+	a := &answers{version: e.version, src: c.merge(e)}
+	a.info, a.err = topkq.RankProbabilities(a.src, c.cfg.K)
 	if a.err == nil {
-		a.uk, a.err = topkq.UKRanksStream(a.si)
+		a.uk, a.err = topkq.UKRanks(a.src, a.info)
 	}
 	if a.err == nil {
-		a.gtk = topkq.GlobalTopKStream(a.si)
+		a.gtk = topkq.GlobalTopK(a.src, a.info)
 		var ev *quality.Evaluation
-		ev, a.err = quality.TPFromStream(a.si, e.m, e.n)
+		ev, a.err = quality.TPFromInfo(a.src, a.info)
 		if a.err == nil {
 			a.quality = ev.S
 		}
@@ -140,7 +187,7 @@ func (c *Cluster) AnswersThreshold(ctx context.Context, threshold float64) (*Res
 		Threshold:  threshold,
 		Version:    e.version,
 		UKRanks:    a.uk,
-		PTK:        topkq.PTKStream(a.si, threshold),
+		PTK:        topkq.PTK(a.src, a.info, threshold),
 		GlobalTopK: a.gtk,
 		Quality:    a.quality,
 	}, nil
@@ -165,11 +212,12 @@ func (c *Cluster) QualityAtVersion(ctx context.Context, k int) (float64, uint64,
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	si, err := topkq.ScanStream(k, e.m, e.n, c.mergeNext(e), false)
+	src := c.merge(e)
+	info, err := topkq.TopKProbabilities(src, k)
 	if err != nil {
 		return 0, 0, err
 	}
-	ev, err := quality.TPFromStream(si, e.m, e.n)
+	ev, err := quality.TPFromInfo(src, info)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,8 +1,8 @@
 // Package shard is the in-process sharded serving engine: a database
 // range-partitioned by rank order across N shard databases, a router that
 // keeps the partition invariant under mutations, and a coordinator that
-// merges the per-shard rank orders into one logical stream and answers
-// top-k queries from it — bit-identically to the unsharded engine.
+// merges the per-shard rank orders into one logical rank source and
+// answers top-k queries from it — bit-identically to the unsharded engine.
 //
 // # The range invariant
 //
@@ -20,9 +20,10 @@
 // local rank order is the global order restricted to the shard, and the
 // concatenation shard 0, shard 1, ... shard N-1 — reals first, then the
 // null alternatives in global group-index order — is exactly the global
-// rank order. That concatenation is what the coordinator feeds to
-// topkq.ScanStream, whose float64 operation sequence mirrors the unsharded
-// scan, making every answer bit-identical (see shardtest).
+// rank order. The coordinator presents that concatenation as a
+// topkq.Source — global group indices attached — to the same PSR kernel,
+// semantics and TP pass the unsharded engine runs over its database, so
+// every answer is bit-identical (see the differential battery).
 //
 // # Rebalancing
 //
@@ -451,9 +452,6 @@ func (c *Cluster) K() int { return c.cfg.K }
 
 // Threshold returns the configured default PT-k threshold.
 func (c *Cluster) Threshold() float64 { return c.cfg.Threshold }
-
-// Shards returns the number of shards.
-func (c *Cluster) Shards() int { return c.cfg.Shards }
 
 // Version returns the cluster version of the current published epoch.
 func (c *Cluster) Version() uint64 {

@@ -210,7 +210,37 @@ func (m *mirror) compare() {
 	t := m.t
 	t.Helper()
 	compareAll(t, m.c, m.db)
+	compareQualityAtK(t, m.c, m.db)
 	checkInvariant(t, m.c)
+}
+
+// compareQualityAtK checks the cluster's rho-free merged pass —
+// QualityAtVersion at a k other than the configured one — bit-for-bit
+// against the unsharded TP at k in {1, K+1, m}, and its error text at
+// k = m+1. It stays out of compareAll, which also runs inside the
+// early-termination isolation test: a pass at k = m reads every shard.
+func compareQualityAtK(t *testing.T, c *Cluster, db *uncertain.Database) {
+	t.Helper()
+	m := db.NumGroups()
+	for _, k := range []int{1, c.K() + 1, m, m + 1} {
+		got, version, errC := c.QualityAtVersion(context.Background(), k)
+		want, errP := quality.TP(db, k)
+		if (errC == nil) != (errP == nil) {
+			t.Fatalf("quality at k=%d error parity: cluster=%v plain=%v", k, errC, errP)
+		}
+		if errP != nil {
+			if errC.Error() != errP.Error() {
+				t.Fatalf("quality at k=%d error text: cluster=%q plain=%q", k, errC, errP)
+			}
+			continue
+		}
+		if version != db.Version() {
+			t.Fatalf("quality at k=%d: cluster version %d, plain %d", k, version, db.Version())
+		}
+		if math.Float64bits(got) != math.Float64bits(want.S) {
+			t.Fatalf("quality at k=%d bits: cluster %v, plain %v", k, got, want.S)
+		}
+	}
 }
 
 // compareAll checks the cluster's full answer surface bit-for-bit against

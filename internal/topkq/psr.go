@@ -32,17 +32,17 @@ const fullMass = 1 - 1e-12
 // benchmark quantifies the residual cost).
 const deconvLimit = 0.5
 
-// RankProbabilities runs PSR and retains per-rank probabilities rho_i(h),
-// as needed by U-kRanks. Time O(k*n), space O(k*Processed).
-func RankProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
-	return compute(db, k, true, deconvLimit)
+// RankProbabilities runs PSR over src and retains per-rank probabilities
+// rho_i(h), as needed by U-kRanks. Time O(k*n), space O(k*Processed).
+func RankProbabilities(src Source, k int) (*RankInfo, error) {
+	return compute(src, k, true, deconvLimit)
 }
 
-// TopKProbabilities runs PSR retaining only the top-k probabilities p_i,
-// which is all PT-k, Global-topk, and quality evaluation need. Time
-// O(k*n), space O(n).
-func TopKProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
-	return compute(db, k, false, deconvLimit)
+// TopKProbabilities runs PSR over src retaining only the top-k
+// probabilities p_i, which is all PT-k, Global-topk, and quality
+// evaluation need. Time O(k*n), space O(n).
+func TopKProbabilities(src Source, k int) (*RankInfo, error) {
+	return compute(src, k, false, deconvLimit)
 }
 
 // AblationRebuildOnly computes top-k probabilities using only the
@@ -50,8 +50,8 @@ func TopKProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
 // recurrence). It exists to quantify the design decision documented in
 // DESIGN.md: the deconvolution path is what makes PSR O(kn). Results are
 // identical to TopKProbabilities; only the cost differs.
-func AblationRebuildOnly(db *uncertain.Database, k int) (*RankInfo, error) {
-	return compute(db, k, false, -1)
+func AblationRebuildOnly(src Source, k int) (*RankInfo, error) {
+	return compute(src, k, false, -1)
 }
 
 // checkpointEvery is the spacing, in rank positions, of the scan-state
@@ -108,7 +108,7 @@ func newScanState(k, m int) *scanState {
 }
 
 // snapshot records the state as a checkpoint for position pos.
-func (st *scanState) snapshot(db *uncertain.Database, pos, rebuilds int) checkpoint {
+func (st *scanState) snapshot(src Source, pos, rebuilds int) checkpoint {
 	c := checkpoint{
 		pos:        pos,
 		F:          append([]float64(nil), st.F...),
@@ -116,9 +116,9 @@ func (st *scanState) snapshot(db *uncertain.Database, pos, rebuilds int) checkpo
 		fullGroups: st.fullGroups,
 		rebuilds:   rebuilds,
 	}
-	groups := db.Groups()
 	for _, g := range st.active {
-		c.q = append(c.q, qSnapshot{x: groups[g], q: st.q[g]})
+		x, _ := src.Group(g) // active groups came from the source: in range
+		c.q = append(c.q, qSnapshot{x: x, q: st.q[g]})
 	}
 	return c
 }
@@ -182,15 +182,16 @@ func (c *checkpoint) restore(db *uncertain.Database, k int) (*scanState, bool) {
 //	rho_i(h) = e_i * G[h-1],  p_i = e_i * sum_{j<k} G[j]
 //
 // and afterwards the scan point moves below t_i, so F becomes G convolved
-// with Bernoulli(q_l + e_i).
-func compute(db *uncertain.Database, k int, keepRho bool, deconvLim float64) (*RankInfo, error) {
-	if !db.Built() {
+// with Bernoulli(q_l + e_i). The x-tuple index l is the source's global
+// group, so one scan serves a database and a shard merge alike.
+func compute(src Source, k int, keepRho bool, deconvLim float64) (*RankInfo, error) {
+	if !src.Built() {
 		return nil, uncertain.ErrNotBuilt
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("k = %d: %w", k, ErrBadK)
 	}
-	m := db.NumGroups()
+	m := src.NumGroups()
 	if k > m {
 		return nil, fmt.Errorf("k = %d, m = %d: %w", k, m, ErrKTooLarge)
 	}
@@ -198,11 +199,11 @@ func compute(db *uncertain.Database, k int, keepRho bool, deconvLim float64) (*R
 	// the scan after a small fraction of a large database, and sizing the
 	// output to the prefix keeps PSR's cost O(k * Processed) rather than
 	// O(n) in allocations.
-	info := &RankInfo{K: k, N: db.NumTuples(), TopK: make([]float64, 0, 256), deconvLim: deconvLim}
+	info := &RankInfo{K: k, N: src.NumTuples(), TopK: make([]float64, 0, 256), deconvLim: deconvLim}
 	if keepRho {
 		info.rho = make([][]float64, 0, 256)
 	}
-	return scanFrom(db, info, newScanState(k, m), 0, keepRho)
+	return scanFrom(src, info, newScanState(k, m), 0, keepRho)
 }
 
 // scanFrom runs the PSR scan loop from rank position start with the given
@@ -212,26 +213,29 @@ func compute(db *uncertain.Database, k int, keepRho bool, deconvLim float64) (*R
 // fresh pass would — plus one final checkpoint when the scan exhausts the
 // array, which is what lets a later Resume extend the scan over tuples
 // appended below the old end.
-func scanFrom(db *uncertain.Database, info *RankInfo, st *scanState, start int, keepRho bool) (*RankInfo, error) {
+//
+// The source is read lazily and never past the early-termination point —
+// the Lemma 2 check follows each step, before the next alternative is
+// asked for — so a shard merge opens no shard the scan does not reach. A
+// source that ends before NumTuples() ends the scan as if Lemma 2 had
+// fired, which keeps the scan total on a malformed source; a correct one
+// never does.
+func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool) (*RankInfo, error) {
 	k := info.K
 	deconvLim := info.deconvLim
-	n := db.NumTuples()
-	// Iterate via a chunk cursor: O(log(n/C)) to seek the resume point,
-	// O(1) per step, and — unlike materializing db.Sorted() — no O(n)
-	// allocation, which is what keeps a watermark-resumed pass sub-linear.
-	cur := db.CursorAt(start)
-	for i := start; i < n; i++ {
-		if st.fullGroups >= k {
-			// Lemma 2: at least k x-tuples certainly place an alternative
-			// above every remaining tuple, so p = 0 from here on.
-			info.Processed = i
-			return info, nil
-		}
+	i := start
+	if st.fullGroups >= k {
+		// Restored from the exhaustion checkpoint of a scan that had
+		// already reached Lemma 2: nothing below start can contribute.
+		return endScan(src, info, st, i)
+	}
+	// Iterate by runs: one seek per run (a database chunk), O(1) per
+	// step, and — unlike materializing db.Sorted() — no O(n) allocation,
+	// which is what keeps a watermark-resumed pass sub-linear.
+	for t, l := range Ranks(src, start, src.NumTuples()) {
 		if i > start && i%checkpointEvery == 0 {
-			info.ckpts = append(info.ckpts, st.snapshot(db, i, info.Rebuilds))
+			info.ckpts = append(info.ckpts, st.snapshot(src, i, info.Rebuilds))
 		}
-		t := cur.Next()
-		l := t.Group
 		ql := st.q[l]
 		switch {
 		case ql == 0:
@@ -280,10 +284,22 @@ func scanFrom(db *uncertain.Database, info *RankInfo, st *scanState, start int, 
 			st.fullGroups++
 		}
 		convolve(st.F, st.G, qNew, st.scratch)
+		i++
+		if st.fullGroups >= k {
+			// Lemma 2: at least k x-tuples certainly place an alternative
+			// above every remaining tuple, so p = 0 from here on.
+			break
+		}
 	}
-	info.Processed = n
-	if len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n {
-		info.ckpts = append(info.ckpts, st.snapshot(db, n, info.Rebuilds))
+	return endScan(src, info, st, i)
+}
+
+// endScan records where the scan stopped — Processed — plus, when it
+// reached the end of the order, the exhaustion checkpoint.
+func endScan(src Source, info *RankInfo, st *scanState, i int) (*RankInfo, error) {
+	info.Processed = i
+	if i == src.NumTuples() && (len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != i) {
+		info.ckpts = append(info.ckpts, st.snapshot(src, i, info.Rebuilds))
 	}
 	return info, nil
 }

@@ -52,34 +52,36 @@ func snapshotScored(t *uncertain.Tuple, rank int, prob float64) ScoredAnswer {
 // the answer deterministic. The same tuple may win several ranks, which is
 // a known property of the U-kRanks semantics. Requires info computed with
 // RankProbabilities.
-func UKRanks(db *uncertain.Database, info *RankInfo) ([]RankedAnswer, error) {
+func UKRanks(src Source, info *RankInfo) ([]RankedAnswer, error) {
 	if !info.HasRho() {
 		return nil, fmt.Errorf("topkq: UKRanks needs per-rank probabilities; use RankProbabilities")
 	}
 	k := info.K
 	limit := info.Processed
-	if n := db.NumTuples(); limit > n {
+	if n := src.NumTuples(); limit > n {
 		limit = n
 	}
-	// One cursor pass over the processed prefix, tracking the per-rank
-	// argmax, instead of k passes over a materialized Sorted() slice. The
-	// tie-break is unchanged: strictly-greater comparisons in ascending
-	// rank order keep the earliest (highest-ranked) winner for each h.
+	// One pass over the processed prefix, tracking the per-rank argmax,
+	// instead of k passes over a materialized rank order. The tie-break is
+	// unchanged: strictly-greater comparisons in ascending rank order keep
+	// the earliest (highest-ranked) winner for each h. Every processed
+	// position has a full rho row (rho[i][h-1] = rho_i(h)), so the row is
+	// read directly.
 	bestP := make([]float64, k+1)
 	bestI := make([]int, k+1)
 	bestT := make([]*uncertain.Tuple, k+1)
 	for h := range bestI {
 		bestI[h] = -1
 	}
-	cur := db.CursorAt(0)
-	for i := 0; i < limit; i++ {
-		t := cur.Next()
+	i := -1
+	for t := range Ranks(src, 0, limit) {
+		i++
 		if t.Null {
 			continue
 		}
-		for h := 1; h <= k; h++ {
-			if p := info.Rho(i, h); p > bestP[h] {
-				bestP[h], bestI[h], bestT[h] = p, i, t
+		for h, p := range info.rho[i] {
+			if p > bestP[h+1] {
+				bestP[h+1], bestI[h+1], bestT[h+1] = p, i, t
 			}
 		}
 	}
@@ -94,15 +96,15 @@ func UKRanks(db *uncertain.Database, info *RankInfo) ([]RankedAnswer, error) {
 
 // PTK evaluates the PT-k query [11]: every real tuple whose top-k
 // probability is at least threshold, in descending rank order.
-func PTK(db *uncertain.Database, info *RankInfo, threshold float64) []ScoredAnswer {
+func PTK(src Source, info *RankInfo, threshold float64) []ScoredAnswer {
 	var out []ScoredAnswer
 	limit := info.Processed
-	if n := db.NumTuples(); limit > n {
+	if n := src.NumTuples(); limit > n {
 		limit = n
 	}
-	cur := db.CursorAt(0)
-	for i := 0; i < limit; i++ {
-		t := cur.Next()
+	i := -1
+	for t := range Ranks(src, 0, limit) {
+		i++
 		if t.Null {
 			continue
 		}
@@ -116,15 +118,15 @@ func PTK(db *uncertain.Database, info *RankInfo, threshold float64) []ScoredAnsw
 // GlobalTopK evaluates the Global-topk query [13]: the k real tuples with
 // the highest top-k probabilities, ties broken toward the higher-ranked
 // tuple (the tie-break used in Zhang and Chomicki's definition).
-func GlobalTopK(db *uncertain.Database, info *RankInfo) []ScoredAnswer {
+func GlobalTopK(src Source, info *RankInfo) []ScoredAnswer {
 	limit := info.Processed
-	if n := db.NumTuples(); limit > n {
+	if n := src.NumTuples(); limit > n {
 		limit = n
 	}
 	cand := make([]ScoredAnswer, 0, limit)
-	cur := db.CursorAt(0)
-	for i := 0; i < limit; i++ {
-		t := cur.Next()
+	i := -1
+	for t := range Ranks(src, 0, limit) {
+		i++
 		if t.Null {
 			continue
 		}

@@ -380,6 +380,20 @@ func (db *Database) CursorAt(pos int) Cursor {
 	return Cursor{chunks: db.rs.chunks, ci: ci, off: off}
 }
 
+// RankRun returns the alternatives from rank position pos to the end of
+// the chunk holding it (nil when pos is out of range), plus a nil group
+// slice: a database's own Group fields are its global x-tuple indices.
+// This is the database's side of the PSR kernel's rank-source contract
+// (topkq.Source): one O(log(n/C)) seek per chunk, then plain slice steps.
+// The run must not be modified.
+func (db *Database) RankRun(pos int) ([]*Tuple, []int) {
+	if pos < 0 || pos >= db.rs.n {
+		return nil, nil
+	}
+	ci, off := db.rs.seek(pos)
+	return db.rs.chunks[ci].tuples[off:], nil
+}
+
 // Next returns the tuple at the cursor's position and advances past it,
 // or nil when the order is exhausted.
 func (c *Cursor) Next() *Tuple {
