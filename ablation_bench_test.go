@@ -11,6 +11,7 @@ package topkclean
 //     (correctness ablation: the benchmark reports the absolute drift).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -45,7 +46,7 @@ func BenchmarkAblationDP_Capped(b *testing.B) {
 			ctx := benchCtx(b, db, 15, c)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.DP(ctx); err != nil {
+				if _, err := cleaning.DP(context.Background(), ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -60,7 +61,7 @@ func BenchmarkAblationDP_NoCap(b *testing.B) {
 			ctx := benchCtx(b, db, 15, c)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.AblationDPNoCap(ctx); err != nil {
+				if _, err := cleaning.AblationDPNoCap(context.Background(), ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,7 +74,7 @@ func BenchmarkAblationGreedy_Heap(b *testing.B) {
 	ctx := benchCtx(b, db, 15, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cleaning.Greedy(ctx); err != nil {
+		if _, err := cleaning.Greedy(context.Background(), ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ package main
 // by the benchmarks instead.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -125,11 +126,11 @@ func TestShapePlannerOrderingAndSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpPlan, err := cleaning.DP(ctx)
+	dpPlan, err := cleaning.DP(context.Background(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grPlan, err := cleaning.Greedy(ctx)
+	grPlan, err := cleaning.Greedy(context.Background(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +139,12 @@ func TestShapePlannerOrderingAndSaturation(t *testing.T) {
 	var rp, ru float64
 	const reps = 10
 	for i := 0; i < reps; i++ {
-		p, err := cleaning.RandP(ctx, rand.New(rand.NewSource(int64(i))))
+		p, err := cleaning.RandP(context.Background(), ctx, rand.New(rand.NewSource(int64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rp += cleaning.ExpectedImprovement(ctx, p) / reps
-		u, err := cleaning.RandU(ctx, rand.New(rand.NewSource(int64(100+i))))
+		u, err := cleaning.RandU(context.Background(), ctx, rand.New(rand.NewSource(int64(100+i))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestShapePlannerOrderingAndSaturation(t *testing.T) {
 	// Saturation at a generous budget.
 	big := *ctx
 	big.Budget = 500000
-	bigPlan, err := cleaning.Greedy(&big)
+	bigPlan, err := cleaning.Greedy(context.Background(), &big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +182,11 @@ func TestShapeImprovementMonotoneInAvgSC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpPlan, err := cleaning.DP(ctx)
+		dpPlan, err := cleaning.DP(context.Background(), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grPlan, err := cleaning.Greedy(ctx)
+		grPlan, err := cleaning.Greedy(context.Background(), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,11 +73,11 @@ func cmdReport(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ctx, err := eng.CleaningContext(runCtx, spec, 0)
+	ctx, err := eng.CleaningContext(runCtx, spec, 1_000_000)
 	if err != nil {
 		return err
 	}
-	cands, err := topkclean.CleaningCandidates(mustBudget(ctx, 1_000_000))
+	cands, err := topkclean.CleaningCandidates(ctx)
 	if err != nil {
 		return err
 	}
@@ -98,8 +98,7 @@ func cmdReport(args []string, w io.Writer) error {
 	btab := exp.NewTable("budget vs expected quality (greedy plans)",
 		"budget", "expected S after cleaning", "deficit removed")
 	for _, c := range exp.LogSpacedInts(1, 10000, 9) {
-		sub := mustBudget(ctx, c)
-		plan, err := topkclean.PlanCleaning(sub, topkclean.MethodGreedy, 0)
+		plan, sub, err := eng.PlanCleaning(runCtx, "greedy", spec, c)
 		if err != nil {
 			return err
 		}
@@ -111,11 +110,4 @@ func cmdReport(args []string, w io.Writer) error {
 		btab.AddRow(c, res.Quality+imp, fmt.Sprintf("%.1f%%", frac*100))
 	}
 	return btab.Render(w)
-}
-
-// mustBudget returns a copy of ctx with the given budget.
-func mustBudget(ctx *topkclean.CleaningContext, budget int) *topkclean.CleaningContext {
-	sub := *ctx
-	sub.Budget = budget
-	return &sub
 }

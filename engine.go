@@ -59,8 +59,9 @@ type Engine struct {
 // computation single-flight per k while letting passes for distinct k run
 // concurrently. Keying the map by k alone (the version lives inside the
 // entry and is migrated in place on every version change) keeps the map's
-// size bounded by the number of distinct query sizes ever asked for, no
-// matter how many mutations a session spans.
+// size bounded by the number of distinct query sizes ever answered, no
+// matter how many mutations a session spans; a size whose first
+// evaluation fails leaves no entry.
 type kEntry struct {
 	mu      sync.Mutex
 	st      *evalState // nil until computed; guarded by mu
@@ -171,9 +172,18 @@ func (e *Engine) state(ctx context.Context, k int, needFull bool) (*evalState, *
 
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
+	fail := func(err error) (*evalState, *Database, error) {
+		if ent.st == nil {
+			// Nothing is memoized for k: a rejected size (k < 1 or k > m)
+			// or an abandoned first pass leaves no entry behind, so
+			// distinct invalid k cannot grow the map.
+			e.forget(k, ent)
+		}
+		return nil, nil, err
+	}
 	snap := e.db.Snapshot()
 	if snap == nil {
-		return nil, nil, uncertain.ErrNotBuilt
+		return fail(uncertain.ErrNotBuilt)
 	}
 	version := snap.Version()
 	if ent.st != nil && ent.version != version {
@@ -183,7 +193,7 @@ func (e *Engine) state(ctx context.Context, k int, needFull bool) (*evalState, *
 		return ent.st, snap, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return fail(err)
 	}
 	var info *topkq.RankInfo
 	var err error
@@ -193,7 +203,7 @@ func (e *Engine) state(ctx context.Context, k int, needFull bool) (*evalState, *
 		info, err = topkq.TopKProbabilities(snap, k)
 	}
 	if err != nil {
-		return nil, nil, err
+		return fail(err)
 	}
 	if ent.st != nil {
 		// Light → full upgrade: the top-k probabilities (and hence the TP
@@ -209,11 +219,22 @@ func (e *Engine) state(ctx context.Context, k int, needFull bool) (*evalState, *
 	}
 	ev, err := quality.TPFromInfo(snap, info)
 	if err != nil {
-		return nil, nil, err
+		return fail(err)
 	}
 	ent.st = &evalState{info: info, eval: ev, full: needFull}
 	ent.version = version
 	return ent.st, snap, nil
+}
+
+// forget removes ent from the memo unless the map has moved on (an
+// Invalidate, or a fresh entry another caller created after an earlier
+// forget). Callers hold ent.mu; the lock order is ent.mu, then e.mu.
+func (e *Engine) forget(k int, ent *kEntry) {
+	e.mu.Lock()
+	if e.states[k] == ent {
+		delete(e.states, k)
+	}
+	e.mu.Unlock()
 }
 
 // migrate carries a memoized entry across database versions, reading only
@@ -336,7 +357,7 @@ func (e *Engine) QualityEvaluation(ctx context.Context) (*QualityEvaluation, err
 // scan. The returned Result shares the session's cached slices; treat its
 // contents as read-only.
 func (e *Engine) Answers(ctx context.Context) (*Result, error) {
-	return e.answersAt(ctx, e.cfg.threshold)
+	return e.AnswersThreshold(ctx, e.cfg.threshold)
 }
 
 // AnswersThreshold is Answers with an explicit PT-k threshold for this
@@ -346,13 +367,6 @@ func (e *Engine) Answers(ctx context.Context) (*Result, error) {
 // WithPTKThreshold, the threshold is not range-validated; out-of-range
 // values simply give an empty or complete PT-k answer.
 func (e *Engine) AnswersThreshold(ctx context.Context, threshold float64) (*Result, error) {
-	return e.answersAt(ctx, threshold)
-}
-
-// answersAt is Answers with an explicit PT-k threshold; the deprecated
-// Evaluate wrapper uses it to honour thresholds the option validation
-// would reject.
-func (e *Engine) answersAt(ctx context.Context, threshold float64) (*Result, error) {
 	st, snap, err := e.state(ctx, e.cfg.k, true)
 	if err != nil {
 		return nil, err
@@ -468,7 +482,7 @@ func (e *Engine) PlanCleaning(ctx context.Context, planner string, spec Cleaning
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := seeded(planner, e.cfg.seed)
+	p, err := PlannerWithSeed(planner, e.cfg.seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -488,7 +502,7 @@ func (e *Engine) VerifyImprovement(ctx context.Context, c *CleaningContext, plan
 	// seed+1 decorrelates the verification streams from the randomized
 	// planners' stream (seeded with the engine seed): replaying the draws
 	// that selected a plan would bias the very cross-check this provides.
-	simulated, err = cleaning.MonteCarloImprovementParallelContext(ctx, c, plan, e.cfg.seed+1, trials, e.cfg.workers())
+	simulated, err = cleaning.MonteCarloImprovementParallel(ctx, c, plan, e.cfg.seed+1, trials, e.cfg.workers())
 	return analytical, simulated, err
 }
 
@@ -508,7 +522,7 @@ func (e *Engine) AdaptiveCleaning(ctx context.Context, c *CleaningContext, plann
 	if rng == nil {
 		rng = newRand(e.cfg.seed)
 	}
-	return cleaning.AdaptiveExecuteContext(ctx, c, p.Plan, rng, maxRounds)
+	return cleaning.AdaptiveExecute(ctx, c, p.Plan, rng, maxRounds)
 }
 
 // MinBudgetForTarget returns the smallest budget whose expected
@@ -522,5 +536,5 @@ func (e *Engine) MinBudgetForTarget(ctx context.Context, c *CleaningContext, tar
 	if err != nil {
 		return 0, nil, err
 	}
-	return cleaning.MinBudgetForTargetContext(ctx, c, target, maxBudget, p.Plan)
+	return cleaning.MinBudgetForTarget(ctx, c, target, maxBudget, p.Plan)
 }

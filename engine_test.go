@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
+
+	"github.com/probdb/topkclean/internal/quality"
+	"github.com/probdb/topkclean/internal/topkq"
 )
 
 // engineSyntheticDB builds a mid-sized synthetic database for engine and
@@ -20,6 +24,9 @@ func engineSyntheticDB(t testing.TB, xtuples int) *Database {
 	return db
 }
 
+// TestEngineAnswersMatchLegacyEvaluate: the engine's answers equal one
+// unmemoized pass run directly on the kernels (PSR, the three semantics,
+// TP).
 func TestEngineAnswersMatchLegacyEvaluate(t *testing.T) {
 	db := paperUDB1(t)
 	eng, err := New(db, WithK(2), WithPTKThreshold(0.4))
@@ -30,21 +37,29 @@ func TestEngineAnswersMatchLegacyEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Evaluate(db, 2, 0.4)
+	info, err := topkq.RankProbabilities(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatScored(res.PTK) != FormatScored(legacy.PTK) {
-		t.Fatalf("PTK: engine %s, legacy %s", FormatScored(res.PTK), FormatScored(legacy.PTK))
+	uk, err := topkq.UKRanks(db, info)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FormatRanked(res.UKRanks) != FormatRanked(legacy.UKRanks) {
-		t.Fatalf("UKRanks: engine %s, legacy %s", FormatRanked(res.UKRanks), FormatRanked(legacy.UKRanks))
+	ev, err := quality.TPFromInfo(db, info)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FormatScored(res.GlobalTopK) != FormatScored(legacy.GlobalTopK) {
-		t.Fatal("GlobalTopK disagrees with legacy Evaluate")
+	if pt := topkq.PTK(db, info, 0.4); FormatScored(res.PTK) != FormatScored(pt) {
+		t.Fatalf("PTK: engine %s, direct %s", FormatScored(res.PTK), FormatScored(pt))
 	}
-	if math.Abs(res.Quality-legacy.Quality) > 1e-12 {
-		t.Fatalf("quality: engine %v, legacy %v", res.Quality, legacy.Quality)
+	if FormatRanked(res.UKRanks) != FormatRanked(uk) {
+		t.Fatalf("UKRanks: engine %s, direct %s", FormatRanked(res.UKRanks), FormatRanked(uk))
+	}
+	if FormatScored(res.GlobalTopK) != FormatScored(topkq.GlobalTopK(db, info)) {
+		t.Fatal("GlobalTopK disagrees with the direct pass")
+	}
+	if math.Abs(res.Quality-ev.S) > 1e-12 {
+		t.Fatalf("quality: engine %v, direct %v", res.Quality, ev.S)
 	}
 	if res.K != 2 || res.Threshold != 0.4 {
 		t.Fatalf("result metadata: k=%d threshold=%v", res.K, res.Threshold)
@@ -199,12 +214,12 @@ func TestEngineQualityMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Quality(db, 5)
+	want, err := quality.TP(db, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("engine quality %v, legacy %v", got, want)
+	if math.Abs(got-want.S) > 1e-12 {
+		t.Fatalf("engine quality %v, direct TP %v", got, want.S)
 	}
 }
 
@@ -264,7 +279,7 @@ func TestEngineAdaptiveAndMinBudget(t *testing.T) {
 	}
 	// Randomized planners break the binary search's monotonicity
 	// precondition and the re-planning loop's independence; both engine
-	// methods must reject them like the legacy entry points do.
+	// methods must reject them.
 	if _, _, err := eng.MinBudgetForTarget(ctx, cctx, target, 10000, "randu"); err == nil {
 		t.Fatal("MinBudgetForTarget must reject randomized planners")
 	}
@@ -273,12 +288,90 @@ func TestEngineAdaptiveAndMinBudget(t *testing.T) {
 	}
 }
 
-// TestEvaluateKeepsUnvalidatedThresholdDomain: the deprecated Evaluate
-// always accepted any threshold; routing it through the engine must not
-// narrow that domain.
+// memoEntries is the number of per-k memo slots the engine holds.
+func memoEntries(eng *Engine) int {
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	return len(eng.states)
+}
+
+// TestEngineRejectedKLeavesNoMemoEntry: a query size the database cannot
+// answer is refused with the topkq error (which the daemon maps to 400)
+// and leaves the per-k memo as it was, so a stream of distinct invalid k
+// cannot grow it. A k that a deletion makes too large drops its entry too.
+func TestEngineRejectedKLeavesNoMemoEntry(t *testing.T) {
+	db := paperUDB1(t) // 4 x-tuples
+	eng := engineAt(t, db, 2)
+	ctx := context.Background()
+	if _, err := eng.Quality(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := memoEntries(eng)
+	for k := 5; k < 1005; k++ {
+		if _, err := eng.QualityAt(ctx, k); !errors.Is(err, topkq.ErrKTooLarge) {
+			t.Fatalf("k=%d: got %v, want ErrKTooLarge", k, err)
+		}
+	}
+	for _, k := range []int{0, -1} {
+		if _, err := eng.QualityAt(ctx, k); !errors.Is(err, topkq.ErrBadK) {
+			t.Fatalf("k=%d: got %v, want ErrBadK", k, err)
+		}
+	}
+	if got := memoEntries(eng); got != before {
+		t.Fatalf("rejected k left memo entries: %d, want %d", got, before)
+	}
+
+	// Concurrent rejections of one k share, drop and recreate its entry
+	// while valid queries keep hitting the memo.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := eng.QualityAt(ctx, 5+i%3); !errors.Is(err, topkq.ErrKTooLarge) {
+					t.Errorf("concurrent k=%d: got %v, want ErrKTooLarge", 5+i%3, err)
+					return
+				}
+				if _, err := eng.Quality(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := memoEntries(eng); got != before {
+		t.Fatalf("concurrent rejected k left memo entries: %d, want %d", got, before)
+	}
+
+	if _, err := eng.QualityAt(ctx, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := memoEntries(eng); got != before+1 {
+		t.Fatalf("answered k=4: %d memo entries, want %d", got, before+1)
+	}
+	if err := db.DeleteXTuple(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.QualityAt(ctx, 4); !errors.Is(err, topkq.ErrKTooLarge) {
+		t.Fatalf("k=4 after a deletion: got %v, want ErrKTooLarge", err)
+	}
+	if got := memoEntries(eng); got != before {
+		t.Fatalf("k=4 outgrown by a deletion kept its entry: %d, want %d", got, before)
+	}
+	if _, err := eng.Quality(ctx); err != nil {
+		t.Fatalf("configured k after the rejections: %v", err)
+	}
+}
+
+// TestEvaluateKeepsUnvalidatedThresholdDomain: unlike WithPTKThreshold,
+// Engine.AnswersThreshold accepts any per-call threshold; out-of-range
+// values give an empty or complete PT-k answer.
 func TestEvaluateKeepsUnvalidatedThresholdDomain(t *testing.T) {
 	db := paperUDB1(t)
-	res, err := Evaluate(db, 2, 1.5)
+	eng := engineAt(t, db, 2)
+	res, err := eng.AnswersThreshold(context.Background(), 1.5)
 	if err != nil {
 		t.Fatalf("threshold 1.5: %v", err)
 	}
@@ -288,7 +381,7 @@ func TestEvaluateKeepsUnvalidatedThresholdDomain(t *testing.T) {
 	if res.Threshold != 1.5 {
 		t.Fatalf("Threshold = %v, want the caller's 1.5", res.Threshold)
 	}
-	neg, err := Evaluate(db, 2, -1)
+	neg, err := eng.AnswersThreshold(context.Background(), -1)
 	if err != nil {
 		t.Fatalf("threshold -1: %v", err)
 	}

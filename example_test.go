@@ -78,22 +78,13 @@ func ExampleLookupPlanner() {
 	// greedy
 }
 
-func ExampleEvaluate() {
+func ExampleEngine_Quality() {
 	db := buildPaperExample()
-	res, err := topkclean.Evaluate(db, 2, 0.4)
+	eng, err := topkclean.New(db, topkclean.WithK(2))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("PT-2:", topkclean.FormatScored(res.PTK))
-	fmt.Printf("quality: %.4f\n", res.Quality)
-	// Output:
-	// PT-2: {t1, t2, t5}
-	// quality: -2.5513
-}
-
-func ExampleQuality() {
-	db := buildPaperExample()
-	s, err := topkclean.Quality(db, 2)
+	s, err := eng.Quality(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -133,38 +124,27 @@ func ExampleApplyCleaning() {
 	if err != nil {
 		panic(err)
 	}
-	s, _ := topkclean.Quality(cleaned, 2)
+	eng, err := topkclean.New(cleaned, topkclean.WithK(2))
+	if err != nil {
+		panic(err)
+	}
+	s, _ := eng.Quality(context.Background())
 	fmt.Printf("%.2f\n", s)
 	// Output:
 	// -1.85
 }
 
-func ExamplePlanCleaning() {
-	db := buildPaperExample()
-	// Every probe costs 1 unit and always succeeds; budget of 2 probes.
-	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
-	ctx, err := topkclean.NewCleaningContext(db, 2, spec, 2)
-	if err != nil {
-		panic(err)
-	}
-	plan, err := topkclean.PlanCleaning(ctx, topkclean.MethodDP, 0)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("probes: %d, expected improvement: %.4f\n",
-		plan.Ops(), topkclean.ExpectedImprovement(ctx, plan))
-	// Output:
-	// probes: 2, expected improvement: 1.8522
-}
-
 func ExampleExecuteCleaning() {
 	db := buildPaperExample()
-	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
-	ctx, err := topkclean.NewCleaningContext(db, 2, spec, 100)
+	eng, err := topkclean.New(db, topkclean.WithK(2))
 	if err != nil {
 		panic(err)
 	}
-	plan, _ := topkclean.PlanCleaning(ctx, topkclean.MethodGreedy, 0)
+	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
+	plan, ctx, err := eng.PlanCleaning(context.Background(), "greedy", spec, 100)
+	if err != nil {
+		panic(err)
+	}
 	out, err := topkclean.ExecuteCleaning(ctx, plan, rand.New(rand.NewSource(1)))
 	if err != nil {
 		panic(err)
@@ -174,16 +154,21 @@ func ExampleExecuteCleaning() {
 	// quality after cleaning everything: 0.0
 }
 
-func ExampleMinBudgetForTarget() {
+func ExampleEngine_MinBudgetForTarget() {
 	db := buildPaperExample()
+	eng, err := topkclean.New(db, topkclean.WithK(2))
+	if err != nil {
+		panic(err)
+	}
+	bg := context.Background()
 	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
-	ctx, err := topkclean.NewCleaningContext(db, 2, spec, 0)
+	ctx, err := eng.CleaningContext(bg, spec, 0)
 	if err != nil {
 		panic(err)
 	}
 	// How many certain probes to halve the ambiguity?
 	target := ctx.Eval.S / 2
-	budget, _, err := topkclean.MinBudgetForTarget(ctx, target, 1000, topkclean.MethodDP)
+	budget, _, err := eng.MinBudgetForTarget(bg, ctx, target, 1000, "dp")
 	if err != nil {
 		panic(err)
 	}

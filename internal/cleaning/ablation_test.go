@@ -1,6 +1,7 @@
 package cleaning
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ import (
 func TestGreedyRescanMatchesHeapGreedy(t *testing.T) {
 	f := func(q quickCtx) bool {
 		ctx := q.Ctx
-		heapPlan, err := Greedy(ctx)
+		heapPlan, err := Greedy(context.Background(), ctx)
 		if err != nil {
 			return false
 		}
@@ -54,11 +55,11 @@ func TestDPNoCapMatchesDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		capped, err := DP(ctx)
+		capped, err := DP(context.Background(), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		uncapped, err := AblationDPNoCap(ctx)
+		uncapped, err := AblationDPNoCap(context.Background(), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func TestDPNoCapMatchesDP(t *testing.T) {
 // within budget.
 func TestDPNoCapBudgetRespected(t *testing.T) {
 	ctx := ctxUDB1(t, 500, Spec{})
-	plan, err := AblationDPNoCap(ctx)
+	plan, err := AblationDPNoCap(context.Background(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,9 @@ import (
 
 // PlannerFunc is a context-aware plan-selection algorithm: given a
 // planning context, produce a plan or fail (for example because ctx was
-// cancelled). DPContext, GreedyContext, and seeded closures over
-// RandUContext/RandPContext all satisfy it.
+// cancelled). DP, Greedy, and seeded closures over RandU/RandP all
+// satisfy it.
 type PlannerFunc func(ctx context.Context, c *Context) (Plan, error)
-
-// background lifts a legacy context-free planner into a PlannerFunc.
-func background(planner func(*Context) (Plan, error)) PlannerFunc {
-	return func(_ context.Context, c *Context) (Plan, error) { return planner(c) }
-}
 
 // AdaptiveOutcome reports an adaptive cleaning session: several plan/execute
 // rounds that feed leftover budget back into new plans.
@@ -28,15 +23,6 @@ type AdaptiveOutcome struct {
 	Initial     float64    // S(D, Q) before any cleaning
 	Final       float64    // S(D', Q) after the last round
 	Improvement float64    // Final - Initial
-}
-
-// FinalDB returns the database after the last round (the original database
-// if no round ran).
-func (a *AdaptiveOutcome) FinalDB(ctx *Context) interface{ NumGroups() int } {
-	if len(a.Rounds) == 0 {
-		return ctx.DB
-	}
-	return a.Rounds[len(a.Rounds)-1].DB
 }
 
 // AdaptiveExecute implements the re-planning loop the paper's Section V-A
@@ -55,14 +41,9 @@ func (a *AdaptiveOutcome) FinalDB(ctx *Context) interface{ NumGroups() int } {
 // most the same budget but converts refunds into additional operations, so
 // its realized improvement stochastically dominates the one-shot planner's
 // (verified statistically in the tests).
-func AdaptiveExecute(ctx *Context, planner func(*Context) (Plan, error), rng *rand.Rand, maxRounds int) (*AdaptiveOutcome, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use AdaptiveExecuteContext
-	return AdaptiveExecuteContext(context.Background(), ctx, background(planner), rng, maxRounds)
-}
-
-// AdaptiveExecuteContext is AdaptiveExecute with a context-aware planner;
-// cancellation is checked between rounds and inside the planner itself.
-func AdaptiveExecuteContext(stdctx context.Context, ctx *Context, planner PlannerFunc, rng *rand.Rand, maxRounds int) (*AdaptiveOutcome, error) {
+//
+// Cancellation is checked between rounds and inside the planner itself.
+func AdaptiveExecute(stdctx context.Context, ctx *Context, planner PlannerFunc, rng *rand.Rand, maxRounds int) (*AdaptiveOutcome, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}

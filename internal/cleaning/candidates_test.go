@@ -1,6 +1,7 @@
 package cleaning
 
 import (
+	"context"
 	"testing"
 )
 
@@ -59,7 +60,7 @@ func TestCandidatesGreedyTakesTopGammaFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Greedy(ctx)
+	plan, err := Greedy(context.Background(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cleaning
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -198,7 +199,7 @@ func TestDPOptimalOnExhaustiveSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpPlan, err := DP(ctx)
+		dpPlan, err := DP(context.Background(), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,11 +254,11 @@ func TestGreedyCloseToDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpPlan, err := DP(ctx)
+		dpPlan, err := DP(context.Background(), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grPlan, err := Greedy(ctx)
+		grPlan, err := Greedy(context.Background(), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,18 +330,18 @@ func TestPlannersRespectBudgetAndCandidates(t *testing.T) {
 	}
 }
 
-func mustPlan(t *testing.T, f func(*Context) (Plan, error), ctx *Context) Plan {
+func mustPlan(t *testing.T, f PlannerFunc, ctx *Context) Plan {
 	t.Helper()
-	p, err := f(ctx)
+	p, err := f(context.Background(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func mustRandPlan(t *testing.T, f func(*Context, *rand.Rand) (Plan, error), ctx *Context, rng *rand.Rand) Plan {
+func mustRandPlan(t *testing.T, f func(context.Context, *Context, *rand.Rand) (Plan, error), ctx *Context, rng *rand.Rand) Plan {
 	t.Helper()
-	p, err := f(ctx, rng)
+	p, err := f(context.Background(), ctx, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestPlannerEffectivenessOrdering(t *testing.T) {
 	}
 	dpVal := ExpectedImprovement(ctx, mustPlan(t, DP, ctx))
 	grVal := ExpectedImprovement(ctx, mustPlan(t, Greedy, ctx))
-	avg := func(f func(*Context, *rand.Rand) (Plan, error)) float64 {
+	avg := func(f func(context.Context, *Context, *rand.Rand) (Plan, error)) float64 {
 		var sum float64
 		const reps = 40
 		for i := 0; i < reps; i++ {
@@ -479,7 +480,7 @@ func TestDPWithLargeBudgetSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := DP(ctx)
+	plan, err := DP(context.Background(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +512,7 @@ func TestGreedyPrefersCheapEffectiveXTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Greedy(ctx)
+	plan, err := Greedy(context.Background(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +529,7 @@ func TestMinBudgetForTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := ctx.Eval.S + 0.5*(-ctx.Eval.S) // halve the deficit
-	budget, plan, err := MinBudgetForTarget(ctx, target, 100000, DP)
+	budget, plan, err := MinBudgetForTarget(context.Background(), ctx, target, 100000, DP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +542,7 @@ func TestMinBudgetForTarget(t *testing.T) {
 	// ...and one unit less does not.
 	if budget > 0 {
 		sub.Budget = budget - 1
-		p2, err := DP(&sub)
+		p2, err := DP(context.Background(), &sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,12 +560,12 @@ func TestMinBudgetForTargetEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Already above target: zero budget.
-	b, plan, err := MinBudgetForTarget(ctx, ctx.Eval.S-1, 1000, Greedy)
+	b, plan, err := MinBudgetForTarget(context.Background(), ctx, ctx.Eval.S-1, 1000, Greedy)
 	if err != nil || b != 0 || len(plan) != 0 {
 		t.Fatalf("already-satisfied target: b=%d plan=%v err=%v", b, plan, err)
 	}
 	// Positive target is impossible.
-	if _, _, err := MinBudgetForTarget(ctx, 0.5, 1000, Greedy); err == nil {
+	if _, _, err := MinBudgetForTarget(context.Background(), ctx, 0.5, 1000, Greedy); err == nil {
 		t.Fatal("positive target must be rejected")
 	}
 	// Unreachable: hopeless sc-probs.
@@ -573,16 +574,16 @@ func TestMinBudgetForTargetEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := MinBudgetForTarget(ctx2, -0.1, 1000, Greedy); !errors.Is(err, ErrTargetUnreachable) {
+	if _, _, err := MinBudgetForTarget(context.Background(), ctx2, -0.1, 1000, Greedy); !errors.Is(err, ErrTargetUnreachable) {
 		t.Fatalf("err = %v, want ErrTargetUnreachable", err)
 	}
 	// A non-positive budget cap has no valid probe: rejected up front, even
 	// when the target is already satisfied.
 	for _, cap := range []int{0, -5} {
-		if _, _, err := MinBudgetForTarget(ctx, ctx.Eval.S-1, cap, Greedy); !errors.Is(err, ErrBadMaxBudget) {
+		if _, _, err := MinBudgetForTarget(context.Background(), ctx, ctx.Eval.S-1, cap, Greedy); !errors.Is(err, ErrBadMaxBudget) {
 			t.Fatalf("maxBudget=%d: err = %v, want ErrBadMaxBudget", cap, err)
 		}
-		if _, _, err := MinBudgetForTarget(ctx, ctx.Eval.S/2, cap, Greedy); !errors.Is(err, ErrBadMaxBudget) {
+		if _, _, err := MinBudgetForTarget(context.Background(), ctx, ctx.Eval.S/2, cap, Greedy); !errors.Is(err, ErrBadMaxBudget) {
 			t.Fatalf("maxBudget=%d: err = %v, want ErrBadMaxBudget", cap, err)
 		}
 	}
@@ -647,7 +648,7 @@ func TestStaleContextRejectedEverywhere(t *testing.T) {
 			return err
 		},
 		"MonteCarlo": func() error {
-			_, err := MonteCarloImprovementParallel(ctx, plan, 1, 10, 2)
+			_, err := MonteCarloImprovementParallel(context.Background(), ctx, plan, 1, 10, 2)
 			return err
 		},
 		"Candidates": func() error {
@@ -655,7 +656,7 @@ func TestStaleContextRejectedEverywhere(t *testing.T) {
 			return err
 		},
 		"Greedy": func() error {
-			_, err := Greedy(ctx)
+			_, err := Greedy(context.Background(), ctx)
 			return err
 		},
 	}
@@ -731,7 +732,7 @@ func TestRandPSelectionFrequenciesMatchWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := RandP(ctx, rand.New(rand.NewSource(77)))
+	plan, err := RandP(context.Background(), ctx, rand.New(rand.NewSource(77)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +766,7 @@ func TestRandUSelectionIsUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := RandU(ctx, rand.New(rand.NewSource(78)))
+	plan, err := RandU(context.Background(), ctx, rand.New(rand.NewSource(78)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,7 +782,7 @@ func TestRandUSelectionIsUniform(t *testing.T) {
 
 func TestRandUUsesWholeBudgetWithUniformCosts(t *testing.T) {
 	ctx := ctxUDB1(t, 17, Spec{})
-	plan, err := RandU(ctx, rand.New(rand.NewSource(9)))
+	plan, err := RandU(context.Background(), ctx, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}

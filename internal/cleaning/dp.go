@@ -10,15 +10,7 @@ import (
 // cells). 2^27 cells = 256 MiB at 2 bytes/cell.
 const dpMaxCells = 1 << 27
 
-// DP solves the cleaning problem optimally (Section V-D.1). It is
-// DPContext with a background context; prefer DPContext in servers so a
-// caller can abandon a long-running plan.
-func DP(c *Context) (Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use DPContext
-	return dp(context.Background(), c, true)
-}
-
-// DPContext solves the cleaning problem optimally (Section V-D.1),
+// DP solves the cleaning problem optimally (Section V-D.1),
 // honouring ctx cancellation. The problem P(C, Z) is a 0-1 knapsack over
 // items (l, j) with value b(l,D,j) and cost c_l; because the marginal gains
 // within an x-tuple decrease (Lemma 4), the optimum always takes a prefix
@@ -34,7 +26,7 @@ func DP(c *Context) (Plan, error) {
 //
 // Cancellation is checked between x-tuple rows and every few thousand
 // budget cells; a cancelled ctx returns ctx.Err() with a nil plan.
-func DPContext(ctx context.Context, c *Context) (Plan, error) {
+func DP(ctx context.Context, c *Context) (Plan, error) {
 	return dp(ctx, c, true)
 }
 
@@ -42,9 +34,8 @@ func DPContext(ctx context.Context, c *Context) (Plan, error) {
 // on per-x-tuple operation counts (J_l = floor(C/c_l) exactly, as in the
 // paper's formulation). It exists to measure what the cap buys; the
 // returned plan's value matches DP's to within the 1e-15 cap tolerance.
-func AblationDPNoCap(c *Context) (Plan, error) {
-	//lint:allow ctxdiscipline ablation harness entry point; measurement runs own their lifecycles
-	return dp(context.Background(), c, false)
+func AblationDPNoCap(ctx context.Context, c *Context) (Plan, error) {
+	return dp(ctx, c, false)
 }
 
 // dpCancelStride is how many budget cells a DP row processes between
@@ -164,11 +155,4 @@ func maxUsefulOps(gain, scProb float64, hardCap int) int {
 		j = math.MaxUint16
 	}
 	return j
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,15 +9,7 @@ import (
 // cancellation checks.
 const greedyCancelStride = 256
 
-// Greedy implements the heuristic of Section V-D.4 with a background
-// context; prefer GreedyContext in servers so a caller can abandon a
-// long-running plan.
-func Greedy(c *Context) (Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use GreedyContext
-	return GreedyContext(context.Background(), c)
-}
-
-// GreedyContext implements the heuristic of Section V-D.4, honouring ctx
+// Greedy implements the heuristic of Section V-D.4, honouring ctx
 // cancellation: repeatedly take the cleaning operation with the highest
 // score gamma_{l,j} = b(l,D,j) / c_l (expected improvement per unit cost)
 // that still fits in the remaining budget. Because gamma_{l,j+1} <=
@@ -30,7 +22,7 @@ func Greedy(c *Context) (Plan, error) {
 //
 // Cancellation is checked every few hundred heap pops; a cancelled ctx
 // returns ctx.Err() with a nil plan.
-func GreedyContext(ctx context.Context, c *Context) (Plan, error) {
+func Greedy(ctx context.Context, c *Context) (Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

@@ -26,16 +26,9 @@ var ErrBadMaxBudget = errors.New("cleaning: maxBudget must be at least 1")
 // budget (any C-plan is feasible at C+1), so binary search applies. The
 // planner argument selects the plan engine: DP gives the true minimum
 // budget; Greedy gives an upper bound that is near-optimal in practice.
-// maxBudget caps the search.
-func MinBudgetForTarget(ctx *Context, target float64, maxBudget int, planner func(*Context) (Plan, error)) (int, Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use MinBudgetForTargetContext
-	return MinBudgetForTargetContext(context.Background(), ctx, target, maxBudget, background(planner))
-}
-
-// MinBudgetForTargetContext is MinBudgetForTarget with a context-aware
-// planner; cancellation is checked before every budget probe and inside
-// the planner itself.
-func MinBudgetForTargetContext(stdctx context.Context, ctx *Context, target float64, maxBudget int, planner PlannerFunc) (int, Plan, error) {
+// maxBudget caps the search. Cancellation is checked before every budget
+// probe and inside the planner itself.
+func MinBudgetForTarget(stdctx context.Context, ctx *Context, target float64, maxBudget int, planner PlannerFunc) (int, Plan, error) {
 	if err := ctx.Validate(); err != nil {
 		return 0, nil, err
 	}

@@ -23,14 +23,7 @@ const mcBlockSize = 64
 // comfortably larger than any realistic block count.
 const mcSeedStride = 1_000_003
 
-// MonteCarloImprovementParallel is MonteCarloImprovementParallelContext
-// with a background context.
-func MonteCarloImprovementParallel(c *Context, plan Plan, seed int64, trials, workers int) (float64, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use MonteCarloImprovementParallelContext
-	return MonteCarloImprovementParallelContext(context.Background(), c, plan, seed, trials, workers)
-}
-
-// MonteCarloImprovementParallelContext is MonteCarloImprovement fanned out
+// MonteCarloImprovementParallel is MonteCarloImprovement fanned out
 // over a pool of workers. Trials are partitioned into fixed-size blocks,
 // each with its own random stream seeded deterministically from (seed,
 // block index), and block results are combined in block order — so the
@@ -41,7 +34,7 @@ func MonteCarloImprovementParallel(c *Context, plan Plan, seed int64, trials, wo
 //
 // Every worker checks ctx between trials; a cancelled ctx makes the whole
 // call return ctx.Err().
-func MonteCarloImprovementParallelContext(ctx context.Context, c *Context, plan Plan, seed int64, trials, workers int) (float64, error) {
+func MonteCarloImprovementParallel(ctx context.Context, c *Context, plan Plan, seed int64, trials, workers int) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}

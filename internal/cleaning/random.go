@@ -10,18 +10,11 @@ import (
 // cancellation checks.
 const randCancelStride = 256
 
-// RandU implements the uniform-random baseline of Section V-D.2 with a
-// background context; prefer RandUContext in servers.
-func RandU(c *Context, rng *rand.Rand) (Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use RandUContext
-	return RandUContext(context.Background(), c, rng)
-}
-
-// RandUContext implements the uniform-random baseline of Section V-D.2,
+// RandU implements the uniform-random baseline of Section V-D.2,
 // honouring ctx cancellation: x-tuples are selected uniformly at random
 // with replacement — regardless of whether cleaning them can help — until
 // the budget cannot afford any further operation. O(C) expected time.
-func RandUContext(ctx context.Context, c *Context, rng *rand.Rand) (Plan, error) {
+func RandU(ctx context.Context, c *Context, rng *rand.Rand) (Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -33,20 +26,13 @@ func RandUContext(ctx context.Context, c *Context, rng *rand.Rand) (Plan, error)
 	return randomPlan(ctx, c, rng, weights)
 }
 
-// RandP implements the probability-weighted baseline of Section V-D.3 with
-// a background context; prefer RandPContext in servers.
-func RandP(c *Context, rng *rand.Rand) (Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use RandPContext
-	return RandPContext(context.Background(), c, rng)
-}
-
-// RandPContext implements the probability-weighted baseline of Section
+// RandP implements the probability-weighted baseline of Section
 // V-D.3, honouring ctx cancellation: an x-tuple is selected with
 // probability sum_{t_i in tau_l} p_i / k, the intuition being that x-tuples
 // with large top-k probability matter more to the query answer. Selection
 // is with replacement until the budget is exhausted. O(C log m) expected
 // time.
-func RandPContext(ctx context.Context, c *Context, rng *rand.Rand) (Plan, error) {
+func RandP(ctx context.Context, c *Context, rng *rand.Rand) (Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
