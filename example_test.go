@@ -50,6 +50,25 @@ func ExampleNew() {
 	// quality: -2.5513
 }
 
+func ExampleEngine_AnswersThreshold() {
+	db := buildPaperExample()
+	eng, err := topkclean.New(db, topkclean.WithK(2))
+	if err != nil {
+		panic(err)
+	}
+	// The PT-k threshold can be chosen per call; the rank-probability pass
+	// is still shared with every other query on this Engine.
+	res, err := eng.AnswersThreshold(context.Background(), 0.4)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("PT-2:", topkclean.FormatScored(res.PTK))
+	fmt.Printf("quality: %.4f\n", res.Quality)
+	// Output:
+	// PT-2: {t1, t2, t5}
+	// quality: -2.5513
+}
+
 func ExampleEngine_PlanCleaning() {
 	db := buildPaperExample()
 	eng, err := topkclean.New(db, topkclean.WithK(2))
@@ -59,6 +78,33 @@ func ExampleEngine_PlanCleaning() {
 	// Every probe costs 1 unit and always succeeds; budget of 2 probes.
 	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
 	plan, cctx, err := eng.PlanCleaning(context.Background(), "dp", spec, 2)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("probes: %d, expected improvement: %.4f\n",
+		plan.Ops(), topkclean.ExpectedImprovement(cctx, plan))
+	// Output:
+	// probes: 2, expected improvement: 1.8522
+}
+
+func ExampleExpectedImprovement() {
+	db := buildPaperExample()
+	eng, err := topkclean.New(db, topkclean.WithK(2))
+	if err != nil {
+		panic(err)
+	}
+	ctx := context.Background()
+	// Every probe costs 1 unit and always succeeds; budget of 2 probes.
+	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
+	cctx, err := eng.CleaningContext(ctx, spec, 2)
+	if err != nil {
+		panic(err)
+	}
+	dp, err := topkclean.LookupPlanner("dp")
+	if err != nil {
+		panic(err)
+	}
+	plan, err := dp.Plan(ctx, cctx)
 	if err != nil {
 		panic(err)
 	}
