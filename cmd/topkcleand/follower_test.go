@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -13,10 +14,16 @@ import (
 // the in-process version of `topkcleand -follower <root>`.
 func followerServer(t testing.TB, storeRoot string) (*httptest.Server, *server) {
 	t.Helper()
+	return followerServerPoll(t, storeRoot, 2*time.Millisecond)
+}
+
+// followerServerPoll is followerServer with a journal poll interval.
+func followerServerPoll(t testing.TB, storeRoot string, poll time.Duration) (*httptest.Server, *server) {
+	t.Helper()
 	s := newServer(serverConfig{
 		k: 5, threshold: 0.1, seed: 42,
 		storeRoot: storeRoot, follower: true,
-		replicaPoll: 2 * time.Millisecond,
+		replicaPoll: poll,
 	})
 	if err := s.recoverFollowers(t.Logf); err != nil {
 		t.Fatal(err)
@@ -56,6 +63,31 @@ func sameBytes(t testing.TB, what, leaderURL, followerURL string) {
 	lb, fb := getBytes(t, leaderURL), getBytes(t, followerURL)
 	if !bytes.Equal(lb, fb) {
 		t.Fatalf("%s: leader and follower differ\nleader:   %s\nfollower: %s", what, lb, fb)
+	}
+}
+
+// sameTopKBytes asserts two daemons answer a /topk URL byte-identically,
+// fetching it twice from each: the first fetch after a commit computes the
+// body, and the second must be served from the kept one (the tenant's
+// topk_bodies_reused counter moves). All four bodies must be equal.
+func sameTopKBytes(t testing.TB, what, leaderURL, followerURL string) {
+	t.Helper()
+	var bodies [][]byte
+	for _, u := range []string{leaderURL, followerURL} {
+		statsURL := strings.Replace(strings.Split(u, "?")[0], "/topk", "/stats", 1)
+		var before, after statsResponse
+		getJSON(t, statsURL, &before)
+		first, second := getBytes(t, u), getBytes(t, u)
+		getJSON(t, statsURL, &after)
+		if after.Reused <= before.Reused {
+			t.Fatalf("%s: the second fetch of %s was not served from the kept body", what, u)
+		}
+		bodies = append(bodies, first, second)
+	}
+	for i, b := range bodies[1:] {
+		if !bytes.Equal(b, bodies[0]) {
+			t.Fatalf("%s: body %d differs from the leader's first\nleader: %s\ngot:    %s", what, i+1, bodies[0], b)
+		}
 	}
 }
 
@@ -102,8 +134,8 @@ func TestFollowerServing(t *testing.T) {
 	waitConverged(t, fsrv, defaultDB, lt.db.version())
 
 	// The acceptance bar: byte-identical answers at the replicated version.
-	sameBytes(t, "topk", lts.URL+"/topk", fts.URL+"/topk")
-	sameBytes(t, "topk?threshold=0.4", lts.URL+"/topk?threshold=0.4", fts.URL+"/topk?threshold=0.4")
+	sameTopKBytes(t, "topk", lts.URL+"/topk", fts.URL+"/topk")
+	sameTopKBytes(t, "topk?threshold=0.4", lts.URL+"/topk?threshold=0.4", fts.URL+"/topk?threshold=0.4")
 	sameBytes(t, "quality", lts.URL+"/quality", fts.URL+"/quality")
 	sameBytes(t, "quality?k=3", lts.URL+"/quality?k=3", fts.URL+"/quality?k=3")
 
@@ -144,7 +176,7 @@ func TestFollowerServing(t *testing.T) {
 	}
 
 	// The follower's view must be unchanged by the refused writes.
-	sameBytes(t, "topk after refused writes", lts.URL+"/topk", fts.URL+"/topk")
+	sameTopKBytes(t, "topk after refused writes", lts.URL+"/topk", fts.URL+"/topk")
 
 	// /stats: role and replication lag (0 once converged).
 	var lstats, fstats statsResponse
@@ -170,12 +202,40 @@ func TestFollowerServing(t *testing.T) {
 		t.Fatalf("leader mutate 2: %d", code)
 	}
 	waitConverged(t, fsrv, defaultDB, mresp.Version)
-	sameBytes(t, "topk after convergence", lts.URL+"/topk", fts.URL+"/topk")
+	sameTopKBytes(t, "topk after convergence", lts.URL+"/topk", fts.URL+"/topk")
 	sameBytes(t, "quality after convergence", lts.URL+"/quality", fts.URL+"/quality")
 	getJSON(t, fts.URL+"/stats", &fstats)
 	if fstats.Replication.BytesBehind != 0 {
 		t.Fatalf("converged follower reports lag: %+v", fstats.Replication)
 	}
+
+	// A resync: a follower that polls only on demand keeps a body, the
+	// leader commits and checkpoints past it, and the next poll rebuilds
+	// the follower's engine from the checkpoint under the same version
+	// numbering. Bodies served after it must still be the leader's.
+	rts, rsrv := followerServerPoll(t, root, time.Hour)
+	sameTopKBytes(t, "topk before resync", lts.URL+"/topk", rts.URL+"/topk")
+	if code := postJSON(t, lts.URL+"/mutate", mutateRequest{Ops: []mutateOp{
+		{Op: "insert", Name: "fx4", Tuples: []tupleJSON{{ID: "f4", Attrs: []float64{66}, Prob: 0.5}}},
+	}}, &mresp); code != http.StatusOK {
+		t.Fatalf("leader mutate 3: %d", code)
+	}
+	if err := lt.db.(*engineDB).sdb.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := rsrv.tenant(defaultDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := rt.db.(*engineDB).rep
+	if _, err := rep.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resyncs() != 1 || rep.Version() != mresp.Version {
+		t.Fatalf("follower after the leader checkpoint: %d resyncs at v%d, want 1 at v%d", rep.Resyncs(), rep.Version(), mresp.Version)
+	}
+	sameTopKBytes(t, "topk after resync", lts.URL+"/topk", rts.URL+"/topk")
+	sameTopKBytes(t, "topk?threshold=0.4 after resync", lts.URL+"/topk?threshold=0.4", rts.URL+"/topk?threshold=0.4")
 }
 
 // TestFollowerMultiTenant checks the follower picks up every database

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,50 +133,88 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // ---- request coalescing ----------------------------------------------------
 
-// coalKey identifies a /topk computation within one tenant: answers are
-// fully determined by the (version, k, threshold) triple, so concurrent
-// identical requests share one computation and one JSON encoding. k is
-// fixed per tenant's engine, so it does not appear in the key.
+// coalKey identifies a /topk body within one tenant: answers are fully
+// determined by the (version, k, threshold) triple, and k is fixed per
+// tenant's engine, so it does not appear in the key. get fills in bits, the
+// threshold's bit pattern: -0 and 0 are equal as floats, but json.Marshal
+// writes them differently, so they must not share a body.
 type coalKey struct {
 	version   uint64
 	threshold float64
+	bits      uint64
 }
 
+// coalCall is one computation of a body. It is in flight until done closes
+// and immutable after. etag is set when the body was computed to be kept.
 type coalCall struct {
 	done chan struct{}
 	body []byte
+	etag string
 	err  error
 }
 
-// coalescer deduplicates in-flight identical queries: the first request
-// for a key becomes the leader and computes; followers arriving before the
-// leader finishes wait on the same call and reuse its bytes. Entries are
-// removed on completion, so results are shared only between overlapping
-// requests — the engine's memoization handles repeat requests over time.
+// maxKept caps the bodies a coalescer keeps. Thresholds are client-chosen,
+// so the table must not grow with them: 64 bodies of ~9 KB each.
+const maxKept = 64
+
+// coalescer serves each /topk body once per key. The first request for a
+// key computes it; requests arriving before that call finishes wait on it
+// and share its bytes. A successful body whose version is the key's is
+// then kept while that version is the newest the coalescer has completed,
+// so later repeats reuse it without touching the engine; the first
+// completion at a newer version drops the table. Only bytes are kept, so
+// no snapshot epoch stays pinned.
 type coalescer struct {
 	mu        sync.Mutex
 	inflight  map[coalKey]*coalCall
-	coalesced atomic.Int64 // follower count, exported via /stats
+	kept      map[coalKey]*coalCall // bodies of version keptAt, at most maxKept
+	keptAt    uint64
+	coalesced atomic.Int64 // requests that shared an in-flight call, via /stats
+	reused    atomic.Int64 // requests served a kept body, via /stats
 }
 
-func (c *coalescer) do(key coalKey, fn func() ([]byte, error)) ([]byte, error) {
+// get returns the call answering key: a kept one, the one in flight, or a
+// new one running fn, which returns the body and the version it answers.
+func (c *coalescer) get(key coalKey, fn func() ([]byte, uint64, error)) *coalCall {
+	key.bits = math.Float64bits(key.threshold)
 	c.mu.Lock()
+	if call, ok := c.kept[key]; ok {
+		c.mu.Unlock()
+		c.reused.Add(1)
+		return call
+	}
 	if call, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		c.coalesced.Add(1)
 		<-call.done
-		return call.body, call.err
+		return call
 	}
 	call := &coalCall{done: make(chan struct{})}
 	c.inflight[key] = call
+	// Whether the body can be kept is settled again after fn; checking now
+	// skips hashing bodies a full or newer table would turn away.
+	mayKeep := key.version > c.keptAt || key.version == c.keptAt && len(c.kept) < maxKept
 	c.mu.Unlock()
 
-	call.body, call.err = fn()
+	body, version, err := fn()
+	call.body, call.err = body, err
+	keep := err == nil && version == key.version && mayKeep
+	if keep {
+		sum := sha256.Sum256(body)
+		call.etag = `"` + hex.EncodeToString(sum[:16]) + `"`
+	}
 	c.mu.Lock()
 	delete(c.inflight, key)
+	if err == nil && (c.kept == nil || version > c.keptAt) {
+		c.kept = make(map[coalKey]*coalCall)
+		c.keptAt = version
+	}
+	if keep && version == c.keptAt && len(c.kept) < maxKept {
+		c.kept[key] = call
+	}
 	c.mu.Unlock()
 	close(call.done)
-	return call.body, call.err
+	return call
 }
 
 // ---- wire types ------------------------------------------------------------
@@ -283,6 +324,7 @@ type statsResponse struct {
 	WALRecords    int               `json:"wal_records_since_checkpoint"`
 	CheckpointVer uint64            `json:"checkpoint_version"`
 	Coalesced     int64             `json:"coalesced_queries"`
+	Reused        int64             `json:"topk_bodies_reused"`
 	DBs           int               `json:"dbs"`
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	Replication   *replicationJSON  `json:"replication,omitempty"` // followers only
@@ -480,6 +522,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 	resp.Name = t.name
 	resp.Role = role
 	resp.Coalesced = t.coal.coalesced.Load()
+	resp.Reused = t.coal.reused.Load()
 	resp.UptimeSeconds = time.Since(s.started).Seconds()
 	s.mu.RLock()
 	resp.DBs = len(s.tenants)
@@ -500,18 +543,19 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
 		}
 		threshold = v
 	}
-	// Coalesce on the version visible at arrival: overlapping identical
-	// requests share one engine call and one JSON encoding. If a commit
-	// lands between keying and answering, the shared answer is simply the
-	// newer version's (reported in its body) — still one consistent epoch.
+	// Key on the version visible at arrival: overlapping identical requests
+	// share one engine call and one JSON encoding, and later ones reuse the
+	// kept body. If a commit lands between keying and answering, the shared
+	// answer is simply the newer version's (reported in its body) — still
+	// one consistent epoch, but not kept under the older key.
 	key := coalKey{version: t.db.version(), threshold: threshold}
-	body, err := t.coal.do(key, func() ([]byte, error) {
+	call := t.coal.get(key, func() ([]byte, uint64, error) {
 		// Compute detached from the leader's request context: followers
 		// with live connections share this result, and the leader's client
 		// hanging up must not fail them all with its cancellation.
 		res, err := t.db.answers(context.WithoutCancel(r.Context()), threshold)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		resp := topkResponse{
 			Version:    res.Version,
@@ -531,14 +575,37 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
 		for _, a := range res.GlobalTopK {
 			resp.GlobalTopK = append(resp.GlobalTopK, answerJSON{ID: a.ID, Score: a.Score, Rank: a.Rank, Prob: a.Prob})
 		}
-		return json.Marshal(resp)
+		body, err := json.Marshal(resp)
+		return body, res.Version, err
 	})
-	if err != nil {
-		writeErr(w, queryErrStatus(err), err)
+	if call.err != nil {
+		writeErr(w, queryErrStatus(call.err), call.err)
 		return
 	}
+	if call.etag != "" {
+		w.Header().Set("ETag", call.etag)
+		if etagMatch(r.Header.Get("If-None-Match"), call.etag) {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
+	_, _ = w.Write(call.body)
+}
+
+// etagMatch reports whether an If-None-Match header names etag. The
+// comparison is weak, as RFC 9110 specifies for If-None-Match: a W/ prefix
+// is ignored, and "*" matches any current body.
+func etagMatch(header, etag string) bool {
+	for header != "" {
+		var tag string
+		tag, header, _ = strings.Cut(header, ",")
+		tag = strings.TrimPrefix(strings.TrimSpace(tag), "W/")
+		if tag == etag || tag == "*" {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *server) handleQuality(w http.ResponseWriter, r *http.Request, t *tenant) {
