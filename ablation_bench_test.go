@@ -3,7 +3,8 @@ package topkclean
 // Ablation benchmarks for the design choices documented in DESIGN.md:
 //
 //  1. PSR's O(k) deconvolution recurrence vs. rebuilding the excluded-group
-//     Poisson binomial from scratch for every tuple.
+//     Poisson binomial from scratch for every tuple, and the rebuild's cost
+//     at depth (BenchmarkPSRSyntheticDeepK).
 //  2. The DP planner's geometric-decay cap on per-x-tuple operation counts
 //     vs. the paper's raw J_l = floor(C/c_l).
 //  3. The greedy planner's heap vs. a full re-scan per taken operation.
@@ -36,6 +37,29 @@ func BenchmarkAblationPSR_RebuildOnly(b *testing.B) {
 		if _, err := topkq.AblationRebuildOnly(db, 15); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPSRSyntheticDeepK runs the light PSR pass on the paper's default
+// synthetic data, k up to 2000. There a group's leading alternatives often
+// carry most of its mass, so the own-group mass passes the deconvolution
+// limit at ~40% of scanned positions; the equal 1/5 probabilities of the
+// grid benchmarks in internal/topkq under-represent that rebuild path. The
+// reported counts are per pass.
+func BenchmarkPSRSyntheticDeepK(b *testing.B) {
+	db := benchSynthetic(b, 5000)
+	for _, k := range []int{15, 200, 2000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var info *topkq.RankInfo
+			for i := 0; i < b.N; i++ {
+				var err error
+				if info, err = topkq.TopKProbabilities(db, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(info.Rebuilds), "rebuilds/op")
+			b.ReportMetric(float64(info.Processed), "processed/op")
+		})
 	}
 }
 

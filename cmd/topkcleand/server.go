@@ -626,10 +626,12 @@ func (s *server) handleQuality(w http.ResponseWriter, r *http.Request, t *tenant
 	writeJSON(w, http.StatusOK, qualityResponse{Version: version, K: k, Quality: quality})
 }
 
-// buildSpec materializes a wire spec for m x-tuples: per-x-tuple arrays
-// win over the uniform fields; the defaults (cost 1, sc-probability 1)
-// model free-choice certain probes.
-func buildSpec(m int, sj specJSON) (topkclean.CleaningSpec, error) {
+// sized materializes a wire spec for m x-tuples: per-x-tuple arrays win
+// over the uniform fields; the defaults (cost 1, sc-probability 1) model
+// free-choice certain probes. The planners call it with the x-tuple count
+// of the snapshot they pin, so a uniform spec always fits the database
+// planned on, whatever inserts and deletes commit meanwhile.
+func (sj specJSON) sized(m int) (topkclean.CleaningSpec, error) {
 	cost, scp := sj.Cost, sj.SCProb
 	if cost == 0 {
 		cost = 1
@@ -696,13 +698,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
 	if req.Planner == "" {
 		req.Planner = "greedy"
 	}
-	eng := edb.engine()
-	spec, err := buildSpec(eng.DB().Snapshot().NumGroups(), req.Spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	plan, cctx, err := eng.PlanCleaning(r.Context(), req.Planner, spec, req.Budget)
+	plan, cctx, err := edb.engine().PlanCleaningFor(r.Context(), req.Planner, req.Spec.sized, req.Budget)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -713,7 +709,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
 		Budget:              req.Budget,
 		Plan:                planToWire(plan),
 		Ops:                 plan.Ops(),
-		Cost:                plan.TotalCost(spec),
+		Cost:                plan.TotalCost(cctx.Spec),
 		ExpectedImprovement: topkclean.ExpectedImprovement(cctx, plan),
 	})
 }
@@ -733,21 +729,17 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 		req.Planner = "greedy"
 	}
 	eng := edb.eng // writes reach only leaders, whose engine is fixed
-	spec, err := buildSpec(eng.DB().Snapshot().NumGroups(), req.Spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
 	var plan topkclean.CleaningPlan
 	var cctx *topkclean.CleaningContext
+	var err error
 	if len(req.Plan) > 0 {
 		if plan, err = wireToPlan(req.Plan); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		cctx, err = eng.CleaningContext(r.Context(), spec, req.Budget)
+		cctx, err = eng.CleaningContextFor(r.Context(), req.Spec.sized, req.Budget)
 	} else {
-		plan, cctx, err = eng.PlanCleaning(r.Context(), req.Planner, spec, req.Budget)
+		plan, cctx, err = eng.PlanCleaningFor(r.Context(), req.Planner, req.Spec.sized, req.Budget)
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -333,5 +334,70 @@ func TestServeConcurrentMutateAndQuery(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestPlanSizesSpecFromPlanningSnapshot: /plan and /apply with a uniform
+// spec must size it from the snapshot they plan on. A writer alternates
+// single inserts and deletes, so the x-tuple count flips between m and m+1
+// while requests run; a spec sized from an earlier read of the database
+// would fail as a 400 spec-size error (on /apply, where a moved version
+// deserves 409).
+func TestPlanSizesSpecFromPlanningSnapshot(t *testing.T) {
+	const xtuples = 40
+	ts, _ := testServer(t, xtuples, 4)
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		post := func(op mutateOp) bool {
+			buf, _ := json.Marshal(mutateRequest{Ops: []mutateOp{op}}) // plain struct: cannot fail
+			resp, err := http.Post(ts.URL+"/mutate", "application/json", bytes.NewReader(buf))
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("mutate %s: status %d", op.Op, resp.StatusCode)
+				return false
+			}
+			return true
+		}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ins := mutateOp{Op: "insert", Name: fmt.Sprintf("w%d", i),
+				Tuples: []tupleJSON{{ID: fmt.Sprintf("w%d.a", i), Attrs: []float64{float64(i % 97)}, Prob: 0.6}}}
+			if !post(ins) || !post(mutateOp{Op: "delete", Group: xtuples}) {
+				return
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		var plan map[string]any
+		if status := postJSON(t, ts.URL+"/plan", planRequest{Planner: "greedy", Budget: 3}, &plan); status != http.StatusOK {
+			t.Errorf("plan %d: status %d %v", i, status, plan)
+			break
+		}
+		var applied map[string]any
+		status := postJSON(t, ts.URL+"/apply", applyRequest{Planner: "greedy", Budget: 1, Seed: int64(i + 1)}, &applied)
+		if status != http.StatusOK && status != http.StatusConflict {
+			t.Errorf("apply %d: status %d %v", i, status, applied)
+			break
+		}
+	}
+	close(stop)
+	<-writerDone
+
+	// Per-x-tuple arrays are the client's own sizing: a wrong length is
+	// still a 400 naming the field.
+	var bad map[string]string
+	status := postJSON(t, ts.URL+"/plan", planRequest{Budget: 3, Spec: specJSON{Costs: make([]int, xtuples+7)}}, &bad)
+	if status != http.StatusBadRequest || !strings.HasPrefix(bad["error"], "costs:") {
+		t.Fatalf("mis-sized costs: status %d %v", status, bad)
 	}
 }

@@ -402,7 +402,21 @@ func (e *Engine) AnswersThreshold(ctx context.Context, threshold float64) (*Resu
 // mutations continue, and it is stamped with that version; ApplyCleaning
 // refuses contexts whose version a later mutation has left behind.
 func (e *Engine) CleaningContext(ctx context.Context, spec CleaningSpec, budget int) (*CleaningContext, error) {
+	return e.CleaningContextFor(ctx, fixedSpec(spec), budget)
+}
+
+// CleaningContextFor is CleaningContext with the spec built by specFor for
+// the x-tuple count of the snapshot the context pins. A spec sized from an
+// earlier read of the database (a uniform cost, say) fails ErrSpecSize
+// when an insert or delete commits before the context pins its snapshot;
+// sized here it always matches the database the planner reads. An error
+// from specFor is returned as is.
+func (e *Engine) CleaningContextFor(ctx context.Context, specFor func(m int) (CleaningSpec, error), budget int) (*CleaningContext, error) {
 	st, snap, err := e.state(ctx, e.cfg.k, false)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := specFor(snap.NumGroups())
 	if err != nil {
 		return nil, err
 	}
@@ -478,7 +492,14 @@ func (e *Engine) ApplyCleaning(ctx context.Context, c *CleaningContext, plan Cle
 // (ExpectedImprovement) or execute it (ExecuteCleaning) without
 // re-evaluating anything.
 func (e *Engine) PlanCleaning(ctx context.Context, planner string, spec CleaningSpec, budget int) (CleaningPlan, *CleaningContext, error) {
-	c, err := e.CleaningContext(ctx, spec, budget)
+	return e.PlanCleaningFor(ctx, planner, fixedSpec(spec), budget)
+}
+
+// PlanCleaningFor is PlanCleaning with the spec built by specFor for the
+// x-tuple count of the snapshot the planning context pins; see
+// CleaningContextFor.
+func (e *Engine) PlanCleaningFor(ctx context.Context, planner string, specFor func(m int) (CleaningSpec, error), budget int) (CleaningPlan, *CleaningContext, error) {
+	c, err := e.CleaningContextFor(ctx, specFor, budget)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -491,6 +512,11 @@ func (e *Engine) PlanCleaning(ctx context.Context, planner string, spec Cleaning
 		return nil, nil, err
 	}
 	return plan, c, nil
+}
+
+// fixedSpec is the specFor of a spec built before the snapshot is pinned.
+func fixedSpec(spec CleaningSpec) func(int) (CleaningSpec, error) {
+	return func(int) (CleaningSpec, error) { return spec, nil }
 }
 
 // VerifyImprovement cross-checks Theorem 2's closed-form expected

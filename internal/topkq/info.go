@@ -33,9 +33,12 @@ type RankInfo struct {
 	// every position at or beyond Processed has p_i = 0 by Lemma 2.
 	Processed int
 
-	// Rebuilds counts from-scratch Poisson-binomial reconstructions taken
-	// on the numerically delicate path (own-group mass above the scan point
-	// close to 1). Exposed for the ablation benchmarks.
+	// Rebuilds counts the scanned positions whose own-group mass above the
+	// scan point exceeded deconvLimit (0.5), where the deconvolution
+	// recurrence would amplify rounding, so the excluded-group distribution
+	// was rebuilt from scratch instead. On the paper's default synthetic
+	// data that is ~40% of Processed. Read by the ablation benchmarks and
+	// the benchmark harness; a resumed pass counts exactly as a fresh one.
 	Rebuilds int
 
 	// ckpts are periodic snapshots of the scan state (taken every

@@ -26,10 +26,10 @@ const fullMass = 1 - 1e-12
 // per index step is q/(1-q), so at q <= 0.5 the factor is at most 1 and
 // rounding stays bounded by ~k ulps regardless of k (verified by the
 // convolve/deconvolve round-trip property test). Above the limit we
-// rebuild the excluded-group distribution from scratch (exact,
-// O(active*k)); the early termination of Lemma 2 and the fact that only a
-// group's tail alternatives see large q keep that path rare (the ablation
-// benchmark quantifies the residual cost).
+// rebuild the excluded-group distribution from scratch (exact, over the
+// partial groups only; see rebuildExcluding). That path is not rare: on
+// the paper's default synthetic data ~40% of scanned positions take it
+// (BenchmarkPSRSyntheticDeepK reports the counts).
 const deconvLimit = 0.5
 
 // RankProbabilities runs PSR over src and retains per-rank probabilities
@@ -337,31 +337,50 @@ func convolve(F, G []float64, q float64, scratch []float64) {
 // distribution over every active group except l. This is the numerically
 // exact fallback used when the forward deconvolution would divide by a
 // small 1-q.
+//
+// Only the partial groups (0 < q < fullMass) are convolved. A full-mass
+// group is a Bernoulli(1) factor, a pure shift by one index, and a shift
+// commutes with truncated convolution at every index it keeps; so the s
+// full groups become one shift at the end, and the partial groups are
+// convolved, in active order, into the k-s entries that survive it. The
+// c-th partial convolution stops at index c: the c-1 before it leave every
+// entry above c-1 exactly +0, and p*0 + q*0 is +0 again. Each float64
+// operation that remains is the one the group-by-group rebuild would make,
+// so the output is bit-identical to it, in O(active + partial *
+// min(partial, k-s)) plus one O(k) clear instead of O(active * k).
 func rebuildExcluding(G, q []float64, active []int, l int) {
-	for j := range G {
-		G[j] = 0
-	}
-	G[0] = 1
+	clear(G)
 	k := len(G)
+	s := 0
 	for _, g := range active {
-		if g == l || q[g] == 0 {
+		if g != l && q[g] >= fullMass {
+			s++
+		}
+	}
+	if s >= k {
+		return
+	}
+	H := G[:k-s]
+	H[0] = 1
+	top := 0 // highest index of H that may be nonzero
+	for _, g := range active {
+		qg := q[g]
+		if g == l || qg == 0 || qg >= fullMass {
 			continue
 		}
-		qg := q[g]
-		if qg >= fullMass {
-			// Bernoulli(1): pure shift.
-			for j := k - 1; j >= 1; j-- {
-				G[j] = G[j-1]
-			}
-			G[0] = 0
-			continue
+		if top < len(H)-1 {
+			top++
 		}
 		p := 1 - qg
 		prev := 0.0
-		for j := 0; j < k; j++ {
-			cur := G[j]
-			G[j] = p*cur + qg*prev
+		for j := 0; j <= top; j++ {
+			cur := H[j]
+			H[j] = p*cur + qg*prev
 			prev = cur
 		}
+	}
+	if s > 0 {
+		copy(G[s:s+top+1], H[:top+1])
+		clear(G[:s])
 	}
 }
